@@ -1,5 +1,7 @@
 #include "core/inference_engine.h"
 
+#include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "common/telemetry.h"
@@ -65,10 +67,32 @@ Tensor RelposRowsForPlan(const SpatialContext& context,
   return context.RelposFor(node_ids);
 }
 
+bool UsesStationPairSrpe(const SpaFormerConfig& config, int num_stations) {
+  return config.position_mode == SpaFormerConfig::PositionMode::kSrpe &&
+         config.packed_srpe && config.neighbor_k == 0 &&
+         config.neighbor_radius_km == 0.0 &&
+         num_stations <= kMaxDenseRelposLength;
+}
+
+Tensor BuildStationPairSrpe(SpaFormer* model, const SpatialContext& context,
+                            InferenceWorkspace* ws) {
+  SSIN_CHECK(UsesStationPairSrpe(model->config(), context.num_stations()));
+  SequenceLayout network;
+  network.node_ids.resize(context.num_stations());
+  std::iota(network.node_ids.begin(), network.node_ids.end(), 0);
+  auto plan = std::make_shared<AttentionPlan>();
+  BuildAttentionPlan(std::vector<uint8_t>(network.node_ids.size(), 0),
+                     /*shielded=*/false, plan.get());
+  network.plan = std::move(plan);
+  model->EmbedLayoutPositions(&network, context.RelposFor(network.node_ids),
+                              ws);
+  return std::move(network.srpe);
+}
+
 std::shared_ptr<const SequenceLayout> BuildSequenceLayout(
     SpaFormer* model, const SpatialContext& context,
     const std::vector<int>& observed_ids, const std::vector<int>& query_ids,
-    InferenceWorkspace* ws) {
+    InferenceWorkspace* ws, const Tensor* station_pair_srpe) {
   auto layout = std::make_shared<SequenceLayout>();
   layout->node_ids = observed_ids;
   layout->node_ids.insert(layout->node_ids.end(), query_ids.begin(),
@@ -82,11 +106,29 @@ std::shared_ptr<const SequenceLayout> BuildSequenceLayout(
                                    layout->observed);
   layout->abspos = context.AbsposFor(layout->node_ids);
 
-  // The relpos rows live only for the embedding forward below; the layout
-  // keeps the embedded result, not the geometry.
-  const Tensor relpos_rows = RelposRowsForPlan(context, layout->node_ids,
-                                               *layout->plan, model->config());
-  model->EmbedLayoutPositions(layout.get(), relpos_rows, ws);
+  if (station_pair_srpe != nullptr) {
+    SSIN_CHECK(UsesStationPairSrpe(model->config(), context.num_stations()));
+    const int64_t stations = context.num_stations();
+    const int width = station_pair_srpe->dim(1);
+    SSIN_CHECK_EQ(station_pair_srpe->dim(0), stations * stations);
+    const std::vector<int>& ids = layout->node_ids;
+    const int64_t length = layout->length();
+    const std::vector<int64_t>& pair_rows = layout->plan->pair_rows;
+    layout->srpe = Tensor({static_cast<int>(pair_rows.size()), width});
+    for (size_t t = 0; t < pair_rows.size(); ++t) {
+      const int64_t row = ids[pair_rows[t] / length] * stations +
+                          ids[pair_rows[t] % length];
+      std::memcpy(layout->srpe.data() + static_cast<int64_t>(t) * width,
+                  station_pair_srpe->data() + row * width,
+                  sizeof(double) * width);
+    }
+  } else {
+    // The relpos rows live only for the embedding forward below; the layout
+    // keeps the embedded result, not the geometry.
+    const Tensor relpos_rows = RelposRowsForPlan(
+        context, layout->node_ids, *layout->plan, model->config());
+    model->EmbedLayoutPositions(layout.get(), relpos_rows, ws);
+  }
   // Converting the embedded positions up front (an empty tensor converts
   // to an empty tensor) keeps the layout usable by either precision
   // without re-touching model weights.

@@ -26,11 +26,14 @@ struct SpaFormerConfig;
 /// computed once and shared, immutably, by every forward pass:
 ///
 ///  * the legal-pair AttentionPlan of the shielded attention,
-///  * the standardized relative / absolute positions, and
+///  * the standardized absolute positions, and
 ///  * the SRPE/SAPE tensors *already pushed through the position-embedding
-///    module*. The SRPE embedding is value-independent but weight-dependent
-///    (~30% of a forward pass at the paper config), which is why a layout
-///    must be discarded whenever the model's weights change.
+///    module*. Each SRPE row depends only on its station pair and the
+///    weights, so packed-SRPE layouts without a neighbor limit copy their
+///    rows from the interpolator's station-pair table
+///    (BuildStationPairSrpe) and the others embed their own rows at build
+///    time. Either way the rows are weight-dependent, which is why a
+///    layout must be discarded whenever the model's weights change.
 struct SequenceLayout {
   std::vector<int> node_ids;  ///< Observed station ids, then query ids.
   int num_observed = 0;
@@ -38,10 +41,11 @@ struct SequenceLayout {
   std::shared_ptr<const AttentionPlan> plan;
 
   /// Standardized absolute coordinates, [L, 2]. Relative positions are
-  /// *not* stored: only the legal pairs' rows are ever computed
-  /// (RelposRowsForPlan), consumed by the position embedding at build
-  /// time, and discarded — a layout's relpos footprint is O(L*k) while it
-  /// builds and zero afterwards, never the dense [L*L, 2].
+  /// *not* stored: a layout that embeds its own rows computes only the
+  /// legal pairs' rows (RelposRowsForPlan), consumes them in the position
+  /// embedding at build time and discards them — a layout's relpos
+  /// footprint is O(L*k) while it builds and zero afterwards, never the
+  /// dense [L*L, 2].
   Tensor abspos;
 
   /// Pre-embedded positions: srpe is [num_pairs, d_k] (packed) or
@@ -62,10 +66,34 @@ struct SequenceLayout {
 /// geometry from `context`, plan from the observation flags, and position
 /// embeddings from `model`'s current weights. `ws` provides scratch for the
 /// embedding forward (the returned layout owns its own tensors).
+///
+/// `station_pair_srpe`, when given, must be BuildStationPairSrpe(model,
+/// context) for the same weights, and the config must satisfy
+/// UsesStationPairSrpe: the packed SRPE rows are then copied from the
+/// table instead of re-running the position network — bit-identical,
+/// because the network maps each row independently of the others.
 std::shared_ptr<const SequenceLayout> BuildSequenceLayout(
     SpaFormer* model, const SpatialContext& context,
     const std::vector<int>& observed_ids, const std::vector<int>& query_ids,
-    InferenceWorkspace* ws);
+    InferenceWorkspace* ws, const Tensor* station_pair_srpe = nullptr);
+
+/// Whether layouts under `config` on a network of `num_stations` gather
+/// their SRPE rows from a station-pair table: packed SRPE without a
+/// neighbor limit, on a network within kMaxDenseRelposLength. There one
+/// network-spanning layout already holds ~N*m of the table's N^2 rows.
+/// Neighbor-limited plans (O(L*k) rows on 1k–10k-station networks), the
+/// dense-SRPE reference and SAPE embed per layout instead.
+bool UsesStationPairSrpe(const SpaFormerConfig& config, int num_stations);
+
+/// The position network of `model` applied once to every ordered station
+/// pair: [N*N, d_k], row a*N + b holds the embedded standardized relative
+/// position r(a, b) (N^2 * d_k * 8 bytes; 1.9 MB for 123 gauges at the
+/// paper's d_k = 16). Computed as the packed SRPE of the whole network
+/// taken as one unshielded sequence, whose legal pairs are every pair in
+/// row order — the same relpos rows and embedding kernels a per-layout
+/// build runs. Valid until the weights change.
+Tensor BuildStationPairSrpe(SpaFormer* model, const SpatialContext& context,
+                            InferenceWorkspace* ws);
 
 /// Builds the attention plan for one sequence under `config`: the full
 /// shielded (or unshielded) plan, or — when config.shielded and

@@ -1,5 +1,6 @@
 #include "core/ssin_interpolator.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 
@@ -17,6 +18,21 @@ telemetry::Histogram* PredictLatencyHistogram() {
   static telemetry::Histogram* histogram =
       telemetry::GetHistogram("serve.predict_us");
   return histogram;
+}
+
+/// Station-pair SRPE table builds and the size of the latest one. Like the
+/// layout-cache counters they record regardless of the telemetry flag, so
+/// a slow first miss after a hot swap can be tied to its table rebuild.
+telemetry::Counter* SrpeTableBuildsCounter() {
+  static telemetry::Counter* counter =
+      telemetry::GetCounter("serve.srpe_table.builds");
+  return counter;
+}
+
+telemetry::Gauge* SrpeTableBytesGauge() {
+  static telemetry::Gauge* gauge =
+      telemetry::GetGauge("serve.srpe_table_bytes");
+  return gauge;
 }
 
 telemetry::Gauge* WorkspaceArenaGauge() {
@@ -74,6 +90,10 @@ SsinInterpolator::~SsinInterpolator() = default;
 
 void SsinInterpolator::InvalidateServingCaches() {
   layout_cache_.Clear();
+  {
+    std::lock_guard<std::mutex> lock(srpe_table_mu_);
+    srpe_table_.reset();
+  }
   f32_weights_.Clear();
   // New weights start a fresh arena high-water story; the process-wide
   // monotone (serve.arena_peak_bytes_process) is deliberately untouched.
@@ -157,13 +177,30 @@ std::shared_ptr<const SequenceLayout> SsinInterpolator::LayoutFor(
   std::shared_ptr<const SequenceLayout> layout =
       layout_cache_.Lookup(node_ids, static_cast<int>(observed_ids.size()));
   if (layout == nullptr) {
+    const std::shared_ptr<const Tensor> table = StationPairSrpe();
     InferenceWorkspace ws;
-    layout =
-        BuildSequenceLayout(model_.get(), context_, observed_ids, query_ids,
-                            &ws);
+    layout = BuildSequenceLayout(model_.get(), context_, observed_ids,
+                                 query_ids, &ws, table.get());
     layout_cache_.Insert(layout);
   }
   return layout;
+}
+
+std::shared_ptr<const Tensor> SsinInterpolator::StationPairSrpe() {
+  if (!UsesStationPairSrpe(model_->config(), context_.num_stations())) {
+    return nullptr;
+  }
+  std::lock_guard<std::mutex> lock(srpe_table_mu_);
+  if (srpe_table_ == nullptr) {
+    SSIN_TRACE_SPAN("serve.srpe_table_build");
+    InferenceWorkspace ws;
+    srpe_table_ = std::make_shared<const Tensor>(
+        BuildStationPairSrpe(model_.get(), context_, &ws));
+    SrpeTableBuildsCounter()->Add(1);
+    SrpeTableBytesGauge()->Set(
+        static_cast<double>(srpe_table_->numel() * sizeof(double)));
+  }
+  return srpe_table_;
 }
 
 std::vector<double> SsinInterpolator::PredictWithLayout(
@@ -387,17 +424,21 @@ std::vector<std::vector<double>> SsinInterpolator::InterpolateBatch(
   std::vector<std::vector<double>> out(batch_values.size());
   if (batch_values.empty()) return out;
 
-  ValidateInterpolationIds(*batch_values[0], context_.num_stations(),
-                           observed_ids, query_ids);
   for (const std::vector<double>* values : batch_values) {
     SSIN_CHECK(values != nullptr);
-    SSIN_CHECK_EQ(values->size(), batch_values[0]->size());
+    ValidateInterpolationIds(*values, context_.num_stations(), observed_ids,
+                             query_ids);
   }
 
-  // One layout for the whole batch; one workspace per pool slot.
+  // One layout for the whole batch; one workspace per pool slot. More
+  // slots than items would only hand idle threads nothing to do, and a
+  // single item runs inline instead of paying a thread spawn and join.
   std::shared_ptr<const SequenceLayout> layout =
       LayoutFor(observed_ids, query_ids);
-  const int threads = ThreadPool::ResolveThreadCount(num_threads);
+  const int threads =
+      static_cast<int>(std::min<size_t>(ThreadPool::ResolveThreadCount(
+                                            num_threads),
+                                        batch_values.size()));
   if (threads == 1) {
     InferenceWorkspace ws;
     for (size_t i = 0; i < batch_values.size(); ++i) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -48,10 +49,11 @@ class SsinInterpolator : public SpatialInterpolator {
       const std::vector<int>& observed_ids,
       const std::vector<int>& query_ids);
 
-  /// Batched serving: validates and resolves the sequence layout once,
-  /// then fans the timestamps across a pool with one inference workspace
-  /// per pool slot. Results are identical to per-timestamp calls at any
-  /// thread count.
+  /// Batched serving: validates every timestamp, resolves the sequence
+  /// layout once, then fans the timestamps across a pool of
+  /// min(num_threads, batch size) slots with one inference workspace per
+  /// slot; a one-item batch runs inline on the caller. Results are
+  /// identical to per-timestamp calls at any thread count.
   std::vector<std::vector<double>> InterpolateBatch(
       const std::vector<const std::vector<double>*>& batch_values,
       const std::vector<int>& observed_ids,
@@ -226,14 +228,20 @@ class SsinInterpolator : public SpatialInterpolator {
       const std::vector<int>& observed_ids,
       const std::vector<int>& query_ids);
 
+  /// The station-pair SRPE table of the current weights, built on first
+  /// use after each InvalidateServingCaches(); nullptr when the config
+  /// embeds per layout instead (UsesStationPairSrpe).
+  std::shared_ptr<const Tensor> StationPairSrpe();
+
   /// One graph-free forward pass: standardize, Predict, destandardize and
   /// clamp. `ws` must be used by one thread at a time.
   std::vector<double> PredictWithLayout(const std::vector<double>& all_values,
                                         const SequenceLayout& layout,
                                         InferenceWorkspace* ws);
 
-  /// Invalidates every weight-derived serving cache (layouts and f32
-  /// weight snapshots). Must run on each weight mutation.
+  /// Invalidates every weight-derived serving cache (layouts, the
+  /// station-pair SRPE table and f32 weight snapshots). Must run on each
+  /// weight mutation.
   void InvalidateServingCaches();
 
   SpaFormerConfig model_config_;
@@ -243,6 +251,10 @@ class SsinInterpolator : public SpatialInterpolator {
   SpatialContext context_;
   TrainStats train_stats_;
   LayoutCache layout_cache_;
+  /// Guards srpe_table_; held across a build so concurrent misses after a
+  /// weight mutation build the table once.
+  std::mutex srpe_table_mu_;
+  std::shared_ptr<const Tensor> srpe_table_;
   F32WeightCache f32_weights_;
   /// Atomic: serving threads read it (once per request) while admin calls
   /// (EnableF32Serving, MeasureF32ServingDelta, hot-swap probes) write it.

@@ -127,6 +127,32 @@ TEST_P(InferenceEquivalence, BatchMatchesSerialAcrossThreadCounts) {
   }
 }
 
+TEST(InferenceBatchDispatch, SingleItemBatchRunsInlineOnTheCaller) {
+  // A one-item batch needs no pool: asking for four threads must neither
+  // queue a pool task nor change a byte of the answer.
+  Fixture f;
+  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
+                        FastTraining(/*mean_fill=*/true));
+  ssin.Fit(f.data, f.observed_ids);
+  const std::vector<const std::vector<double>*> batch = {&f.data.Values(3)};
+  const std::vector<std::vector<double>> serial =
+      ssin.InterpolateBatch(batch, f.observed_ids, f.query_ids,
+                            /*num_threads=*/1);
+
+  telemetry::SetEnabled(true);
+  telemetry::Counter* tasks_run =
+      telemetry::GetCounter("thread_pool.tasks_run");
+  const int64_t tasks_before = tasks_run->Value();
+  const std::vector<std::vector<double>> requested_four =
+      ssin.InterpolateBatch(batch, f.observed_ids, f.query_ids,
+                            /*num_threads=*/4);
+  const int64_t tasks_after = tasks_run->Value();
+  telemetry::SetEnabled(false);
+
+  EXPECT_EQ(tasks_after, tasks_before);
+  EXPECT_EQ(requested_four, serial);  // Bit-identical.
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SrpeLayoutsAndFillModes, InferenceEquivalence,
     ::testing::Values(EquivalenceParams{true, true},
@@ -675,6 +701,24 @@ TEST(InferenceValidationDeath, RejectsMalformedIdLists) {
                "queried twice");
   EXPECT_DEATH(ssin.InterpolateTimestamp(values, {}, {2}),
                "at least one observed");
+
+  // A non-finite observed value would poison the instance standardization
+  // and turn every prediction into NaN.
+  std::vector<double> poisoned = values;
+  poisoned[1] = std::nan("");
+  EXPECT_DEATH(ssin.InterpolateTimestamp(poisoned, {0, 1, 2}, {3}),
+               "observed id 1 has non-finite value");
+  poisoned[1] = -HUGE_VAL;
+  EXPECT_DEATH(ssin.InterpolateTimestamp(poisoned, {0, 1, 2}, {3}),
+               "observed id 1 has non-finite value");
+  // Every batch item is validated, not only the first.
+  EXPECT_DEATH(ssin.InterpolateBatch({&values, &poisoned}, {0, 1, 2}, {3}),
+               "observed id 1 has non-finite value");
+  // Query values are never read: a NaN there is served normally.
+  std::vector<double> nan_query = values;
+  nan_query[3] = std::nan("");
+  EXPECT_EQ(ssin.InterpolateTimestamp(nan_query, {0, 1, 2}, {3}),
+            ssin.InterpolateTimestamp(values, {0, 1, 2}, {3}));
 }
 
 TEST(InferenceValidationDeath, EmptyF32CalibrationBatchRejected) {

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <map>
 #include <memory>
@@ -350,7 +351,24 @@ TEST(InterpolationServerTest, MalformedRequestsRejectedAtAdmission) {
   out_of_range.query_ids.push_back(f.data.num_stations() + 7);
   EXPECT_EQ(server.Submit(std::move(out_of_range), &future),
             SubmitStatus::kInvalidRequest);
-  EXPECT_EQ(server.rejected_total(), 3);
+
+  // A NaN or Inf among the observed values would poison the instance
+  // standardization and answer NaN for every query.
+  Request nan_observed = f.RequestFor(0);
+  nan_observed.all_values[nan_observed.observed_ids[2]] = std::nan("");
+  EXPECT_EQ(server.Submit(std::move(nan_observed), &future),
+            SubmitStatus::kInvalidRequest);
+  Request inf_observed = f.RequestFor(0);
+  inf_observed.all_values[inf_observed.observed_ids[0]] = HUGE_VAL;
+  EXPECT_EQ(server.Submit(std::move(inf_observed), &future),
+            SubmitStatus::kInvalidRequest);
+  EXPECT_EQ(server.rejected_total(), 5);
+
+  // Query values are never read, so a NaN there is served normally.
+  Request nan_query = f.RequestFor(0);
+  nan_query.all_values[nan_query.query_ids[0]] = std::nan("");
+  ExpectExactly(server.Interpolate(std::move(nan_query)), f.expected_a[0],
+                "NaN at a query station");
 
   // A well-formed request still sails through after the rejections.
   ExpectExactly(server.Interpolate(f.RequestFor(0)), f.expected_a[0],
@@ -439,6 +457,101 @@ TEST(InterpolationServerTest, HotSwapUnderLoadDropsNothing) {
   // Post-swap requests serve the promoted (generation B) weights.
   ExpectExactly(server.Interpolate(f.RequestFor(0)), f.expected_b[0],
                 "post-swap request");
+}
+
+TEST(InterpolationServerTest, ConcurrentLayoutMissesAcrossPromotes) {
+  // Every pattern drops a different observed gauge, so after each Promote
+  // the freshly active buffer misses its layout cache (and rebuilds its
+  // station-pair SRPE table) while submitters and direct callers race on
+  // it. Nothing may be dropped and every answer is exactly generation A
+  // or B for its pattern.
+  ServeFixture& f = Fixture();
+  constexpr int kPatterns = 6;
+  std::vector<std::vector<int>> patterns;
+  std::vector<std::vector<std::vector<double>>> expected_a(kPatterns);
+  std::vector<std::vector<std::vector<double>>> expected_b(kPatterns);
+  for (int p = 0; p < kPatterns; ++p) {
+    std::vector<int> observed = f.observed_ids;
+    observed.erase(observed.begin() + p);
+    for (int t = 0; t < f.data.num_timestamps(); ++t) {
+      expected_a[p].push_back(f.source_a->InterpolateTimestamp(
+          f.data.Values(t), observed, f.query_ids));
+      expected_b[p].push_back(f.source_b->InterpolateTimestamp(
+          f.data.Values(t), observed, f.query_ids));
+    }
+    patterns.push_back(std::move(observed));
+  }
+
+  ServerConfig config;
+  config.queue_capacity = 4096;
+  config.batch_linger_us = 20;
+  config.batch_threads = 2;
+  InterpolationServer server(config);
+  auto [active, standby] = f.MakeBuffers();
+  server.registry().Register("hk", std::move(active), std::move(standby));
+
+  constexpr int kSubmitters = 4;
+  constexpr int kDirectCallers = 2;
+  constexpr int kPerThread = 30;
+  std::atomic<int> served{0};
+  std::atomic<int> mismatched{0};
+  auto check = [&](int p, int t, const std::vector<double>& result) {
+    served.fetch_add(1);
+    if (result != expected_a[p][t] && result != expected_b[p][t]) {
+      mismatched.fetch_add(1);
+    }
+  };
+  auto submitter = [&](int seed) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const int p = (seed + i) % kPatterns;
+      const int t = (seed * 5 + i) % f.data.num_timestamps();
+      Request request = f.RequestFor(t);
+      request.observed_ids = patterns[p];
+      std::future<std::vector<double>> future;
+      ASSERT_EQ(server.Submit(std::move(request), &future),
+                SubmitStatus::kAccepted);
+      check(p, t, future.get());
+    }
+  };
+  // Direct callers hit the active buffer from their own threads, so two
+  // misses on one instance can build its table at the same time.
+  auto direct_caller = [&](int seed) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const int p = (seed + 2 * i) % kPatterns;
+      const int t = (seed + i) % f.data.num_timestamps();
+      std::shared_ptr<SsinInterpolator> model =
+          server.registry().Acquire("hk");
+      check(p, t, model->InterpolateTimestamp(f.data.Values(t), patterns[p],
+                                              f.query_ids));
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kSubmitters; ++c) threads.emplace_back(submitter, c);
+  for (int c = 0; c < kDirectCallers; ++c) {
+    threads.emplace_back(direct_caller, c + 1);
+  }
+  // Promoting a generation twice in a row hands each buffer the other
+  // generation's weights in turn, so a table that outlived its weights
+  // would serve a mixture of the two.
+  for (SsinInterpolator* source : {f.source_b.get(), f.source_b.get(),
+                                   f.source_a.get(), f.source_a.get(),
+                                   f.source_b.get(), f.source_a.get()}) {
+    ASSERT_TRUE(server.registry().Promote("hk", *source));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(served.load(), (kSubmitters + kDirectCallers) * kPerThread);
+  EXPECT_EQ(mismatched.load(), 0);
+  EXPECT_EQ(server.rejected_total(), 0);
+  // The last promotion installed generation A.
+  for (int p = 0; p < kPatterns; ++p) {
+    Request request = f.RequestFor(1);
+    request.observed_ids = patterns[p];
+    ExpectExactly(server.Interpolate(std::move(request)), expected_a[p][1],
+                  "post-swap request");
+  }
 }
 
 // ------------------------------------------------- windowed SLO metrics
