@@ -16,26 +16,28 @@
 /// Beyond the kernel-only sweep, BM_SpaFormerSeq_* measures the cost of a
 /// whole training sequence (embeddings + T*H attention invocations,
 /// forward AND backward) at the paper configuration L=123, T=3, H=2,
-/// d_k=16: the `Baseline` variant runs the historical pipeline (dense
-/// [L*L, d_k] SRPE embedding, reference matmul kernels), the `Optimized`
-/// variant the current one (legal-pair-packed SRPE, cache-blocked
-/// matmuls). BM_ServeHotPath_* times the graph-free serving arithmetic at
-/// the same configuration — scalar-reference f64, SIMD f64, SIMD f32, and
-/// the fused serving chain (nn/fused_serving.h) in both precisions — so
-/// the per-ISA kernel speedup and the fusion speedup are visible next to
-/// the training numbers. The fused benches also report the real
-/// SpaFormer::Predict workspace arena high-water mark fused vs. unfused.
-/// scripts/run_bench.sh drives this binary and records
-/// BENCH_attention.json (including the active ISA and the derived
-/// speedups).
+/// d_k=16: the `Baseline` variant embeds the dense [L*L, d_k] SRPE, the
+/// `Optimized` variant only the legal pairs (packed SRPE); both run the
+/// cache-blocked matmuls. BM_ServeHotPath_* times the graph-free serving
+/// arithmetic at the same configuration — a per-op composition with the
+/// scalar-reference matmuls in f64, the same with SIMD matmuls in f64 and
+/// f32, and the row-wise kernels the serving forward runs
+/// (nn/fused_serving.h) in both precisions — so the per-ISA kernel
+/// speedup and the fusion speedup are visible next to the training
+/// numbers. The f64 fused bench also reports the workspace arena bytes of
+/// one real SpaFormer::Predict. scripts/run_bench.sh drives this binary
+/// and records BENCH_attention.json (including the active ISA and the
+/// derived speedups).
 ///
 /// `--smoke` runs a tier-1 correctness check instead of timings: a tiny
-/// model served fused and unfused must produce exactly equal predictions
-/// (exit 1 on the first mismatch).
+/// model served in f64 must match the autograd reference forward to
+/// 1e-12, and served in f32 must stay within 1e-3 mm of f64 (exit 1 on
+/// the first violation).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -142,11 +144,7 @@ void BM_PackedShielded(benchmark::State& state) {
 /// forward through value/SRPE embeddings, T encoder layers, prediction
 /// head, then full backward. Half the stations are masked, the paper's
 /// representative self-supervised masking level.
-void RunSequence(benchmark::State& state, bool packed_srpe,
-                 const MatMulConfig& matmul) {
-  const MatMulConfig saved = GetMatMulConfig();
-  SetMatMulConfig(matmul);
-
+void RunSequence(benchmark::State& state, bool packed_srpe) {
   SpaFormerConfig config;  // L=123 inputs, T=3, H=2, d_k=16 defaults.
   config.packed_srpe = packed_srpe;
   Rng rng(7);
@@ -177,26 +175,15 @@ void RunSequence(benchmark::State& state, bool packed_srpe,
   // same per-sequence plan.
   state.counters["ns_per_pair"] = NsPerPair(
       plan.num_pairs() * config.num_layers * config.num_heads);
-
-  SetMatMulConfig(saved);
 }
 
 void BM_SpaFormerSeq_Baseline(benchmark::State& state) {
-  // Historical pipeline: dense [L*L, d_k] SRPE embedding + reference
-  // (branchy, non-blocked) matmul kernels.
-  RunSequence(state, /*packed_srpe=*/false,
-              MatMulConfig{/*blocked=*/false, /*num_threads=*/1});
+  // Historical SRPE pipeline: dense [L*L, d_k] embedding.
+  RunSequence(state, /*packed_srpe=*/false);
 }
 
 void BM_SpaFormerSeq_Optimized(benchmark::State& state) {
-  RunSequence(state, /*packed_srpe=*/true,
-              MatMulConfig{/*blocked=*/true, /*num_threads=*/1});
-}
-
-void BM_SpaFormerSeq_OptimizedMT(benchmark::State& state) {
-  RunSequence(state, /*packed_srpe=*/true,
-              MatMulConfig{/*blocked=*/true,
-                           /*num_threads=*/static_cast<int>(state.range(0))});
+  RunSequence(state, /*packed_srpe=*/true);
 }
 
 // ------------------------------------------------------ serving hot path
@@ -316,7 +303,7 @@ void BM_ServeHotPath_SimdF32(benchmark::State& state) {
 }
 
 /// The same serving pass composed from the fused kernels, exactly as
-/// EncoderLayer::InferFused runs them: one fused QKV pass over the rows,
+/// EncoderLayer::Infer runs them: one fused QKV pass over the rows,
 /// each head's attention written straight into its concat column block,
 /// output projection + residual + LayerNorm in one row-wise kernel, and
 /// the FFN with its [d_ff] hidden activation in a reusable tile. Same
@@ -402,16 +389,11 @@ void RunServeHotPathFused(benchmark::State& state) {
 }
 
 /// Workspace arena high-water mark of one real SpaFormer::Predict at the
-/// paper serving config (L=123, m=113), fused vs. unfused — measured once
-/// on fresh workspaces and attached to the fused bench as counters so
+/// paper serving config (L=123, m=113) — measured once on a fresh
+/// workspace and attached to the f64 fused bench as a counter so
 /// BENCH_attention.json carries the memory story next to the timings.
-struct ServeArenaBytes {
-  size_t fused = 0;
-  size_t unfused = 0;
-};
-
-const ServeArenaBytes& MeasureServeArena() {
-  static const ServeArenaBytes measured = [] {
+size_t MeasureServeArenaBytes() {
+  static const size_t measured = [] {
     RainfallGenerator generator(HkRegionConfig());  // 123 gauges.
     SpatialDataset data = generator.GenerateHours(1, 7);
     std::vector<int> observed_ids, query_ids;
@@ -428,50 +410,32 @@ const ServeArenaBytes& MeasureServeArena() {
         &model, context, observed_ids, query_ids, &layout_ws);
     Tensor x({layout->length(), 1});
     Fill(&x, 1);
-
-    ServeArenaBytes out;
-    {
-      InferenceWorkspace ws;
-      model.set_fused_serving(true);
-      model.Predict(x, *layout, &ws);
-      out.fused = ws.ArenaBytes();
-    }
-    {
-      InferenceWorkspace ws;
-      model.set_fused_serving(false);
-      model.Predict(x, *layout, &ws);
-      out.unfused = ws.ArenaBytes();
-    }
-    return out;
+    InferenceWorkspace ws;
+    model.Predict(x, *layout, &ws);
+    return ws.ArenaBytes();
   }();
   return measured;
 }
 
-template <typename T>
-void RunServeHotPathFusedWithArena(benchmark::State& state) {
-  RunServeHotPathFused<T>(state);
-  const ServeArenaBytes& arena = MeasureServeArena();
-  state.counters["arena_bytes_fused"] =
-      benchmark::Counter(static_cast<double>(arena.fused));
-  state.counters["arena_bytes_unfused"] =
-      benchmark::Counter(static_cast<double>(arena.unfused));
-}
-
 void BM_ServeHotPath_Fused(benchmark::State& state) {
-  RunServeHotPathFusedWithArena<double>(state);
+  RunServeHotPathFused<double>(state);
+  state.counters["arena_bytes"] =
+      benchmark::Counter(static_cast<double>(MeasureServeArenaBytes()));
 }
 
 void BM_ServeHotPath_FusedF32(benchmark::State& state) {
-  RunServeHotPathFusedWithArena<float>(state);
+  RunServeHotPathFused<float>(state);
 }
 
 // ------------------------------------------------------------- smoke mode
 
-/// Tier-1 `--smoke`: serves a tiny untrained model fused and unfused and
-/// demands exactly equal predictions for every timestamp — the bench
-/// binary's own correctness gate, run by ctest so a fusion regression
-/// fails fast without the full benchmark suite.
-int RunFusedSmoke() {
+/// Tier-1 `--smoke`: serves a tiny untrained model in both precisions and
+/// checks every timestamp — f64 against the autograd reference forward
+/// (<= 1e-12), f32 against f64 (<= 1e-3 mm, the f32 serving gate) — so a
+/// serving-forward regression fails fast without the full benchmark suite.
+int RunServingSmoke() {
+  constexpr double kF64Tolerance = 1e-12;
+  constexpr double kF32GateMm = 1e-3;
   RainfallRegionConfig region = HkRegionConfig();
   region.num_gauges = 24;
   region.width_km = 30.0;
@@ -493,28 +457,40 @@ int RunFusedSmoke() {
   SsinInterpolator ssin_model(config, train_config);
   ssin_model.Prepare(data, observed_ids);  // Random weights serve fine.
 
+  using Precision = SsinInterpolator::ServingPrecision;
   for (int t = 0; t < data.num_timestamps(); ++t) {
-    ssin_model.SetFusedServing(true);
-    const std::vector<double> fused = ssin_model.InterpolateTimestamp(
+    const std::vector<double> reference =
+        ssin_model.InterpolateTimestampAutograd(data.Values(t), observed_ids,
+                                                query_ids);
+    ssin_model.set_serving_precision(Precision::kFloat64);
+    const std::vector<double> f64 = ssin_model.InterpolateTimestamp(
         data.Values(t), observed_ids, query_ids);
-    ssin_model.SetFusedServing(false);
-    const std::vector<double> unfused = ssin_model.InterpolateTimestamp(
+    ssin_model.set_serving_precision(Precision::kFloat32);
+    const std::vector<double> f32 = ssin_model.InterpolateTimestamp(
         data.Values(t), observed_ids, query_ids);
-    if (fused.size() != unfused.size()) {
+    if (f64.size() != reference.size() || f32.size() != reference.size()) {
       std::fprintf(stderr, "smoke FAIL: size mismatch at t=%d\n", t);
       return 1;
     }
-    for (size_t i = 0; i < fused.size(); ++i) {
-      if (fused[i] != unfused[i]) {
+    for (size_t i = 0; i < f64.size(); ++i) {
+      if (!(std::fabs(f64[i] - reference[i]) <= kF64Tolerance)) {
         std::fprintf(stderr,
-                     "smoke FAIL: t=%d query %zu fused=%.17g unfused=%.17g\n",
-                     t, i, fused[i], unfused[i]);
+                     "smoke FAIL: t=%d query %zu f64=%.17g autograd=%.17g\n",
+                     t, i, f64[i], reference[i]);
+        return 1;
+      }
+      if (!(std::fabs(f32[i] - f64[i]) <= kF32GateMm)) {
+        std::fprintf(stderr,
+                     "smoke FAIL: t=%d query %zu f32=%.17g f64=%.17g\n", t,
+                     i, f32[i], f64[i]);
         return 1;
       }
     }
   }
-  std::printf("smoke PASS: fused == unfused serving on %d timestamps\n",
-              data.num_timestamps());
+  std::printf(
+      "smoke PASS: f64 serving == autograd (<= %g) and f32 within %g mm of "
+      "f64 on %d timestamps\n",
+      kF64Tolerance, kF32GateMm, data.num_timestamps());
   return 0;
 }
 
@@ -548,10 +524,6 @@ BENCHMARK(BM_PackedShielded)
 
 BENCHMARK(BM_SpaFormerSeq_Baseline)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SpaFormerSeq_Optimized)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SpaFormerSeq_OptimizedMT)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(2)
-    ->Arg(4);
 
 BENCHMARK(BM_ServeHotPath_Scalar)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ServeHotPath_Simd)->Unit(benchmark::kMicrosecond);
@@ -562,10 +534,10 @@ BENCHMARK(BM_ServeHotPath_FusedF32)->Unit(benchmark::kMicrosecond);
 // Custom main (instead of BENCHMARK_MAIN) so the JSON context records
 // which ISA the build dispatches to — a BENCH_attention.json is then
 // self-describing about what "Simd" meant on the machine that wrote it.
-// `--smoke` short-circuits into the fused-vs-unfused correctness gate.
+// `--smoke` short-circuits into the serving correctness gate.
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return RunFusedSmoke();
+    if (std::strcmp(argv[i], "--smoke") == 0) return RunServingSmoke();
   }
   benchmark::AddCustomContext("simd_isa", ssin::simd::IsaName());
   // The stock "library_build_type" context key describes the *benchmark

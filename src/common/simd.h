@@ -644,12 +644,13 @@ struct VecOps {
 // ------------------------------------------------------------------------
 // Shared kernel templates. These are the single implementations behind the
 // tensor-level matmul/layernorm entry points (src/tensor/ops.cc), the
-// classical-solver Matrix product (src/common/matrix.cc), and the f32
-// serving path — instantiated with VecOps in production and ScalarOps as
+// classical-solver Matrix product (src/common/matrix.cc), and the serving
+// forward — instantiated with VecOps in production and ScalarOps as
 // the differential-test reference.
 
 /// out[m,n] += a[m,k] * b[k,n], branchy sequential reference: skips zero a
-/// entries (the historical MatMulConfig{blocked=false} kernel).
+/// entries. The *Ref kernels are test oracles (and the scalar baseline of
+/// bench_fig7); MatMul runs the blocked kernels below.
 template <typename T>
 void MatMulAccRef(const T* a, const T* b, T* out, int m, int k, int n) {
   for (int i = 0; i < m; ++i) {

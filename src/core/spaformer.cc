@@ -1,5 +1,7 @@
 #include "core/spaformer.h"
 
+#include <type_traits>
+
 #include "common/simd.h"
 #include "common/telemetry.h"
 #include "core/inference_engine.h"
@@ -190,9 +192,13 @@ Var SpaFormer::ForwardWithPlan(Graph* graph, const Tensor& x,
   return prediction_.Forward(h);  // [L, 1]
 }
 
-Tensor& SpaFormer::InferEmbedding(Linear* linear, Fcn2* fcn, const Tensor& in,
-                                  InferenceWorkspace* ws) {
-  return linear != nullptr ? linear->Infer(in, ws) : fcn->Infer(in, ws);
+template <typename T>
+TensorT<T>& SpaFormer::InferEmbedding(const Linear* linear, const Fcn2* fcn,
+                                      const TensorT<T>& in,
+                                      const ServingWeights<T>& w,
+                                      InferenceWorkspace* ws) const {
+  return linear != nullptr ? linear->Infer(in, w, ws)
+                           : fcn->Infer(in, w, ws);
 }
 
 void SpaFormer::EmbedLayoutPositions(SequenceLayout* layout,
@@ -211,43 +217,69 @@ void SpaFormer::EmbedLayoutPositions(SequenceLayout* layout,
              "networks this large";
       SSIN_CHECK_EQ(relpos_rows.dim(0), DenseRelPosRows(length));
     }
-    layout->srpe =
-        InferEmbedding(position_linear_, position_fcn_, relpos_rows, ws);
+    layout->srpe = InferEmbedding(position_linear_, position_fcn_,
+                                  relpos_rows, ServingWeights<double>(), ws);
   } else {
     SSIN_CHECK_EQ(layout->abspos.dim(0), layout->length());
-    layout->sape =
-        InferEmbedding(position_linear_, position_fcn_, layout->abspos, ws);
+    layout->sape = InferEmbedding(position_linear_, position_fcn_,
+                                  layout->abspos, ServingWeights<double>(), ws);
   }
 }
 
-const Tensor& SpaFormer::Predict(const Tensor& x, const SequenceLayout& layout,
-                                 InferenceWorkspace* ws) {
-  SSIN_TRACE_SPAN("spaformer.predict");
+template <typename T>
+const TensorT<T>& SpaFormer::Serve(const Tensor& x,
+                                   const SequenceLayout& layout,
+                                   const ServingWeights<T>& w,
+                                   InferenceWorkspace* ws) const {
   const int length = x.dim(0);
   SSIN_CHECK_EQ(x.dim(1), 1);
   SSIN_CHECK_EQ(layout.length(), length);
   SSIN_CHECK(layout.plan != nullptr);
   ws->Reset();
 
-  Tensor& e = InferEmbedding(value_linear_, value_fcn_, x, ws);
-
-  const Tensor* srpe = nullptr;
-  if (config_.position_mode == SpaFormerConfig::PositionMode::kSrpe) {
+  // The layout's positions and the input in element type T: double reads
+  // them as they are; float narrows the input once and reads the layout's
+  // pre-converted copies.
+  const TensorT<T>* input;
+  const TensorT<T>* srpe;
+  const TensorT<T>* sape;
+  if constexpr (std::is_same_v<T, double>) {
+    input = &x;
     srpe = &layout.srpe;
+    sape = &layout.sape;
+  } else {
+    TensorF32* x32 = ws->Acquire<float>(x.shape());
+    const double* src = x.data();
+    for (int64_t i = 0; i < x.numel(); ++i) {
+      x32->data()[i] = static_cast<float>(src[i]);
+    }
+    input = x32;
+    srpe = &layout.srpe_f32;
+    sape = &layout.sape_f32;
+  }
+
+  TensorT<T>& e = InferEmbedding(value_linear_, value_fcn_, *input, w, ws);
+
+  if (config_.position_mode == SpaFormerConfig::PositionMode::kSrpe) {
+    SSIN_CHECK(!srpe->empty()) << "layout lacks embedded positions";
   } else {
     // SAPE: positions enter additively, exactly as Forward's Add(e, sape).
-    e.Accumulate(layout.sape);
+    SSIN_CHECK(sape->SameShape(e));
+    simd::VecOps::Add(sape->data(), e.data(), static_cast<int>(e.numel()));
+    srpe = nullptr;
   }
 
   // Only the query (trailing) rows feed the prediction head, so the final
-  // encoder layer and the head run on those rows alone; their values are
-  // bit-identical to a full-sequence evaluation. The fused chain matches
-  // the blocked matmul arithmetic, so the non-blocked reference config
-  // falls back to the unfused composition.
-  const bool fused = config_.fused_serving && GetMatMulConfig().blocked;
-  Tensor& h = encoder_.Infer(e, srpe, *layout.plan, ws, layout.num_observed,
-                             fused);
-  return prediction_.Infer(h, ws);  // [L - num_observed, 1]
+  // encoder layer and the head run on those rows alone.
+  TensorT<T>& h =
+      encoder_.Infer(e, srpe, *layout.plan, layout.num_observed, w, ws);
+  return prediction_.Infer(h, w, ws);  // [L - num_observed, 1]
+}
+
+const Tensor& SpaFormer::Predict(const Tensor& x, const SequenceLayout& layout,
+                                 InferenceWorkspace* ws) {
+  SSIN_TRACE_SPAN("spaformer.predict");
+  return Serve(x, layout, ServingWeights<double>(), ws);
 }
 
 const TensorF32& SpaFormer::PredictF32(const Tensor& x,
@@ -255,43 +287,7 @@ const TensorF32& SpaFormer::PredictF32(const Tensor& x,
                                        const F32WeightCache::Map& w,
                                        InferenceWorkspace* ws) {
   SSIN_TRACE_SPAN("spaformer.predict_f32");
-  const int length = x.dim(0);
-  SSIN_CHECK_EQ(x.dim(1), 1);
-  SSIN_CHECK_EQ(layout.length(), length);
-  SSIN_CHECK(layout.plan != nullptr);
-  ws->Reset();
-
-  // Narrow the input values once; everything downstream stays f32.
-  TensorF32* x32 = ws->AcquireF32(x.shape());
-  const double* src = x.data();
-  for (int64_t i = 0; i < x.numel(); ++i) {
-    x32->data()[i] = static_cast<float>(src[i]);
-  }
-
-  TensorF32* e;
-  if (value_linear_ != nullptr) {
-    e = &value_linear_->InferF32(*x32, w, ws);
-  } else {
-    e = &value_fcn_->InferF32(*x32, w, ws);
-  }
-
-  const TensorF32* srpe = nullptr;
-  if (config_.position_mode == SpaFormerConfig::PositionMode::kSrpe) {
-    SSIN_CHECK(!layout.srpe_f32.empty())
-        << "layout lacks converted f32 positions";
-    srpe = &layout.srpe_f32;
-  } else {
-    SSIN_CHECK(layout.sape_f32.SameShape(*e));
-    simd::VecOps::Add(layout.sape_f32.data(), e->data(),
-                      static_cast<int>(e->numel()));
-  }
-
-  // The f32 chain always runs the blocked row kernels, so the fused flag
-  // alone decides (no MatMulConfig interaction).
-  TensorF32& h = encoder_.InferF32(*e, srpe, *layout.plan, w, ws,
-                                   layout.num_observed,
-                                   config_.fused_serving);
-  return prediction_.InferF32(h, w, ws);  // [L - num_observed, 1]
+  return Serve(x, layout, ServingWeights<float>(w), ws);
 }
 
 }  // namespace ssin

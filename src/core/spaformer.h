@@ -69,19 +69,6 @@ struct SpaFormerConfig {
   /// all [L*L, 2] rows — kept as the equivalence/benchmark reference.
   bool packed_srpe = true;
 
-  /// Fused serving chain (default): Predict/PredictF32 evaluate each
-  /// encoder layer with the single-pass fused kernels of
-  /// src/nn/fused_serving.h — one read of the input per QKV projection
-  /// pass, attention heads writing the concat directly, output projection
-  /// + residual + LayerNorm folded into one row-wise kernel, and the FFN
-  /// hidden activation kept in an L1 tile instead of an [L, d_ff] arena
-  /// tensor. false restores the unfused per-op composition, kept as the
-  /// bit-exact reference (per-element arithmetic is identical; the
-  /// differential harness pins fused == unfused). The fused path requires
-  /// the blocked matmul arithmetic, so it is bypassed automatically when
-  /// MatMulConfig{blocked=false} is active.
-  bool fused_serving = true;
-
   /// Named constructors for the paper's ablation variants (Table 6).
   static SpaFormerConfig Paper() { return SpaFormerConfig(); }
   static SpaFormerConfig EmbPosLinear();
@@ -161,11 +148,6 @@ class SpaFormer : public Module {
 
   const SpaFormerConfig& config() const { return config_; }
 
-  /// Runtime toggle for the fused serving chain (config().fused_serving) —
-  /// a serving kill switch and the hook equivalence tests flip to compare
-  /// fused against unfused predictions on identical weights.
-  void set_fused_serving(bool fused) { config_.fused_serving = fused; }
-
   /// Runtime toggles for neighbor-limited shielding (config().neighbor_k /
   /// config().neighbor_radius_km). Affect only plan construction for
   /// *future* sequences; the owning interpolator must invalidate its
@@ -182,8 +164,16 @@ class SpaFormer : public Module {
 
   Var ApplyEmbedding(Linear* linear, Fcn2* fcn, Var in);
 
-  Tensor& InferEmbedding(Linear* linear, Fcn2* fcn, const Tensor& in,
-                         InferenceWorkspace* ws);
+  template <typename T>
+  TensorT<T>& InferEmbedding(const Linear* linear, const Fcn2* fcn,
+                             const TensorT<T>& in, const ServingWeights<T>& w,
+                             InferenceWorkspace* ws) const;
+
+  /// The body of Predict (T = double) and PredictF32 (T = float).
+  template <typename T>
+  const TensorT<T>& Serve(const Tensor& x, const SequenceLayout& layout,
+                          const ServingWeights<T>& w,
+                          InferenceWorkspace* ws) const;
 
   SpaFormerConfig config_;
 

@@ -133,17 +133,32 @@ TrainStats SsinInterpolator::ContinueTraining(
   return stats;
 }
 
-void SsinInterpolator::CopyParametersFrom(SsinInterpolator& source) {
-  SSIN_CHECK(prepared_ && source.prepared_);
+bool SsinInterpolator::CopyParametersFrom(SsinInterpolator& source,
+                                          std::string* mismatch) {
+  auto reject = [mismatch](const std::string& why) {
+    if (mismatch != nullptr) *mismatch = why;
+    return false;
+  };
+  if (!prepared_) return reject("destination is not prepared");
+  if (!source.prepared_) return reject("source is not prepared");
   std::vector<Parameter*> dst = model_->Parameters();
   std::vector<Parameter*> src = source.model_->Parameters();
-  SSIN_CHECK_EQ(dst.size(), src.size());
-  for (size_t i = 0; i < dst.size(); ++i) {
-    SSIN_CHECK(dst[i]->value.SameShape(src[i]->value))
-        << "architecture mismatch at " << dst[i]->name;
-    dst[i]->value = src[i]->value;
+  if (dst.size() != src.size()) {
+    return reject("parameter count " + std::to_string(src.size()) +
+                  " != " + std::to_string(dst.size()));
   }
+  // Validate everything before writing anything: a refused copy leaves
+  // this model's weights exactly as they were.
+  for (size_t i = 0; i < dst.size(); ++i) {
+    if (!dst[i]->value.SameShape(src[i]->value)) {
+      return reject(dst[i]->name + ": source " +
+                    src[i]->value.ShapeString() + " vs " +
+                    dst[i]->value.ShapeString());
+    }
+  }
+  for (size_t i = 0; i < dst.size(); ++i) dst[i]->value = src[i]->value;
   InvalidateServingCaches();
+  return true;
 }
 
 bool SsinInterpolator::Save(const std::string& path) {
@@ -265,16 +280,6 @@ std::vector<double> SsinInterpolator::PredictWithLayout(
     RecordArenaPeak(&arena_peak_bytes_, arena_bytes);
   }
   return out;
-}
-
-void SsinInterpolator::SetFusedServing(bool fused) {
-  SSIN_CHECK(prepared_) << "call Fit() or Prepare() first";
-  model_->set_fused_serving(fused);
-}
-
-bool SsinInterpolator::fused_serving() const {
-  SSIN_CHECK(prepared_) << "call Fit() or Prepare() first";
-  return model_->config().fused_serving;
 }
 
 void SsinInterpolator::SetNeighborK(int k) {

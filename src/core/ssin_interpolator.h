@@ -71,8 +71,13 @@ class SsinInterpolator : public SpatialInterpolator {
                               const std::vector<int>& train_ids);
 
   /// Copies trained weights from another interpolator with an identical
-  /// architecture (cross-region transfer).
-  void CopyParametersFrom(SsinInterpolator& source);
+  /// architecture (cross-region transfer, hot-swap promotion). Both sides
+  /// must be Fit()/Prepare()d and every parameter shape must match; when
+  /// they do not, nothing is copied, `mismatch` (if non-null) names the
+  /// first difference, and false is returned. Returns true after a copy,
+  /// which invalidates the serving caches.
+  bool CopyParametersFrom(SsinInterpolator& source,
+                          std::string* mismatch = nullptr);
 
   /// Saves the complete interpolator state — model weights plus the
   /// model/train configuration fingerprint — to one file. The spatial
@@ -190,14 +195,6 @@ class SsinInterpolator : public SpatialInterpolator {
   /// Fit()/Prepare() time.
   void set_non_negative(bool non_negative) { non_negative_ = non_negative; }
   bool non_negative() const { return non_negative_; }
-
-  /// Runtime kill switch for the fused serving chain (see
-  /// SpaFormerConfig::fused_serving; on by default). Affects Predict
-  /// arithmetic layout only — fused and unfused produce identical
-  /// predictions, which the equivalence tests pin by flipping this.
-  /// Must be called after Fit()/Prepare().
-  void SetFusedServing(bool fused);
-  bool fused_serving() const;
 
   /// Runtime switch for neighbor-limited shielding (see
   /// SpaFormerConfig::neighbor_k). 0 restores full shielding, the paper's

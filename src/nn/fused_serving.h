@@ -7,14 +7,15 @@
 #include "common/simd.h"
 
 /// \file
-/// Fused serving kernels for the graph-free Infer path.
+/// Row-wise kernels of the graph-free serving forward (EncoderLayer::Infer,
+/// instantiated for double and float).
 ///
-/// The unfused serving chain materializes every intermediate — per-head
-/// q/k/v projections, per-head attention outputs, the head concatenation,
-/// the FFN hidden activation [L, d_ff] — in the InferenceWorkspace bump
-/// arena, so at serving sizes the hot path is bandwidth-bound: each stage
-/// streams a full [L, *] tensor out to memory and the next stage streams
-/// it back in. The kernels here fuse the chain row-wise:
+/// A per-op composition of an encoder layer materializes every
+/// intermediate — per-head q/k/v projections, per-head attention outputs,
+/// the head concatenation, the FFN hidden activation [L, d_ff] — so at
+/// serving sizes it is bandwidth-bound: each stage streams a full [L, *]
+/// tensor out to memory and the next stage streams it back in. The
+/// kernels here run the layer row by row instead:
 ///
 ///   FusedQkvProjectRows        one pass over the input rows computes every
 ///                              head's q/k/v projection (one read of x per
@@ -28,17 +29,16 @@
 ///                              instead of a full [L, d_ff] arena tensor
 ///
 /// Bit-exactness contract: every kernel reproduces, per output element, the
-/// exact arithmetic sequence of the unfused composition it replaces — the
+/// exact arithmetic sequence of the per-op composition it replaces — the
 /// inner row product is the same zero-then-Axpy4/Axpy sequence as
-/// MatMulInto's blocked path (simd::MatMulAccRows), the residual adds
-/// execute in the same operand order as Tensor::Accumulate / Ops::Add, and
-/// the LayerNorm row body is simd::LayerNormRows verbatim. Only the
-/// *interleaving across elements* changes, so for a given Ops policy the
-/// fused chain is bit-identical to the unfused chain (the one exception is
-/// the sign of exact-zero ReLU outputs: Ops::Relu may flip -0.0 to +0.0
-/// where the historical f64 branch keeps -0.0 — value-equal under ==).
-/// tests/kernel_differential_test.cc pins each kernel against the unfused
-/// ScalarOps composition before any caller may use it.
+/// MatMulInto (simd::MatMulAccRows), the residual adds execute in the same
+/// operand order as Ops::Add, and the LayerNorm row body is
+/// simd::LayerNormRows verbatim. Only the *interleaving across elements*
+/// changes (the one exception is the sign of exact-zero ReLU outputs:
+/// Ops::Relu may flip -0.0 to +0.0 — value-equal under ==).
+/// tests/kernel_differential_test.cc pins each kernel against that
+/// composition (same Ops policy, exact) and against simd::ScalarOps
+/// (scaled tolerance); the autograd Forward pins the whole model.
 ///
 /// Determinism: every output element is written by exactly one call in a
 /// fixed order, and the kernels run inline on the serving thread — results
@@ -50,8 +50,8 @@ namespace fused {
 /// One output row of a matmul: out_row[n] = x_row[k] · w[k,n], zeroing
 /// out_row first. Per-element this is exactly MatMulInto's Fill(0) +
 /// simd::MatMulAccRows inner sequence (Axpy4 over groups of four w rows,
-/// Axpy remainder), so a fused caller matches the unfused tensor-level
-/// matmul bit for bit under the same Ops policy.
+/// Axpy remainder), so it matches the tensor-level matmul bit for bit
+/// under the same Ops policy.
 template <typename T, typename Ops>
 inline void MatVecRowInto(const T* x_row, const T* w, int k, int n,
                           T* out_row) {
@@ -152,8 +152,8 @@ void FusedAttentionEpilogueRows(const T* concat, int rows, int k,
 ///
 /// `hidden` (d_ff elements) and `tmp` (d elements) are caller-provided
 /// scratch tiles reused across rows — the [rows, d_ff] hidden activation,
-/// the dominant term of the unfused arena high-water mark, is never
-/// materialized. b1/b2 may be null.
+/// which would dominate the arena high-water mark, is never materialized.
+/// b1/b2 may be null.
 template <typename T, typename Ops>
 void FusedFfnRows(const T* x, int rows, int d, int d_ff, const T* w1,
                   const T* b1, const T* w2, const T* b2, bool relu,

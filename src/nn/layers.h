@@ -18,24 +18,21 @@ class Linear : public Module {
 
   Var Forward(Var x);
 
-  /// Graph-free forward into workspace storage. Runs the same kernels as
-  /// Forward (MatMulInto + the AddRow arithmetic), so the result is
-  /// numerically identical to Forward's value on the same input.
-  Tensor& Infer(const Tensor& x, InferenceWorkspace* ws);
-
-  /// Float32 serving forward: same kernel shapes as Infer, computed in
-  /// single precision against the converted weights in `w` (a
-  /// F32WeightCache snapshot of this module's parameters).
-  TensorF32& InferF32(const TensorF32& x, const F32WeightCache::Map& w,
-                      InferenceWorkspace* ws);
+  /// Graph-free forward in element type T into workspace storage, reading
+  /// the weights through `w` (the parameters themselves for double, a
+  /// converted snapshot for float). Runs the blocked matmul rows and the
+  /// AddRow arithmetic of Forward, so the double result is numerically
+  /// identical to Forward's value on the same input.
+  template <typename T>
+  TensorT<T>& Infer(const TensorT<T>& x, const ServingWeights<T>& w,
+                    InferenceWorkspace* ws) const;
 
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }
 
-  /// Raw parameter access for the fused serving kernels, which read the
-  /// weights directly instead of going through Infer. bias_param() is null
-  /// for bias-free layers. The f32 chain uses the Parameter pointer as the
-  /// F32WeightCache key, exactly like InferF32 does.
+  /// Raw parameter access for the fused encoder kernels, which read the
+  /// weights directly (through ServingWeights) instead of going through
+  /// Infer. bias_param() is null for bias-free layers.
   const Parameter* weight_param() const { return weight_; }
   const Parameter* bias_param() const { return bias_; }
 
@@ -60,13 +57,11 @@ class Fcn2 : public Module {
   Var Forward(Var x);
 
   /// Graph-free forward; see Linear::Infer.
-  Tensor& Infer(const Tensor& x, InferenceWorkspace* ws);
+  template <typename T>
+  TensorT<T>& Infer(const TensorT<T>& x, const ServingWeights<T>& w,
+                    InferenceWorkspace* ws) const;
 
-  /// Float32 serving forward; see Linear::InferF32.
-  TensorF32& InferF32(const TensorF32& x, const F32WeightCache::Map& w,
-                      InferenceWorkspace* ws);
-
-  /// Sublayer access for the fused serving kernels.
+  /// Sublayer access for the fused encoder kernels.
   const Linear& first() const { return first_; }
   const Linear& second() const { return second_; }
   bool relu() const { return relu_; }
@@ -84,14 +79,8 @@ class LayerNormLayer : public Module {
 
   Var Forward(Var x);
 
-  /// Graph-free forward; see Linear::Infer.
-  Tensor& Infer(const Tensor& x, InferenceWorkspace* ws);
-
-  /// Float32 serving forward; see Linear::InferF32.
-  TensorF32& InferF32(const TensorF32& x, const F32WeightCache::Map& w,
-                      InferenceWorkspace* ws);
-
-  /// Raw parameter access for the fused serving kernels.
+  /// Raw parameter access for the fused encoder kernels, which normalize
+  /// inside their row loops (fused::LayerNormRow).
   const Parameter* gamma_param() const { return gamma_; }
   const Parameter* beta_param() const { return beta_; }
   double eps() const { return eps_; }

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/log.h"
 #include "common/telemetry.h"
 
 namespace ssin {
@@ -15,6 +16,12 @@ namespace {
 telemetry::Counter* HotSwapsCounter() {
   static telemetry::Counter* counter =
       telemetry::GetCounter("serve.hot_swaps_total");
+  return counter;
+}
+
+telemetry::Counter* PromoteRejectedCounter() {
+  static telemetry::Counter* counter =
+      telemetry::GetCounter("serve.promote_rejected_total");
   return counter;
 }
 
@@ -85,10 +92,18 @@ bool ModelRegistry::Promote(const std::string& name,
   while (standby.pins->load(std::memory_order_acquire) > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
-  // CopyParametersFrom invalidates the standby's serving caches (layouts,
-  // f32 weight snapshots, arena peak), so post-swap requests rebuild
-  // everything from the promoted weights.
-  standby.model->CopyParametersFrom(source);
+  // CopyParametersFrom validates the whole architecture before writing
+  // anything, so a refused candidate leaves the standby untouched and the
+  // active model serving. A successful copy invalidates the standby's
+  // serving caches (layouts, f32 weight snapshots, arena peak), so
+  // post-swap requests rebuild everything from the promoted weights.
+  std::string mismatch;
+  if (!standby.model->CopyParametersFrom(source, &mismatch)) {
+    SSIN_LOG(Warn) << "promote of model '" << name
+                   << "' refused, architecture mismatch: " << mismatch;
+    PromoteRejectedCounter()->Add(1);
+    return false;
+  }
   {
     std::lock_guard<std::mutex> lock(entry->state_mu);
     std::swap(entry->active, entry->standby);

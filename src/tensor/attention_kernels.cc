@@ -131,7 +131,7 @@ inline int64_t SrpeRow(const AttentionPlan& plan, const AttentionConfig& cfg,
   return cfg.packed_srpe ? t_global : plan.pair_rows[t_global];
 }
 
-// Shape/config validation shared by the forward wrappers.
+// Shape/config validation for PackedAttentionForward.
 void CheckForwardShapes(const Tensor& k, const Tensor* c,
                         const AttentionPlan& plan,
                         const AttentionConfig& cfg) {
@@ -154,16 +154,6 @@ Tensor PackedAttentionForward(const Tensor& q, const Tensor& k,
                               const AttentionPlan& plan,
                               const AttentionConfig& cfg,
                               AttentionContext* ctx) {
-  Tensor z;
-  PackedAttentionForwardInto(q, k, v, c, plan, cfg, ctx, &z);
-  return z;
-}
-
-void PackedAttentionForwardInto(const Tensor& q, const Tensor& k,
-                                const Tensor& v, const Tensor* c,
-                                const AttentionPlan& plan,
-                                const AttentionConfig& cfg,
-                                AttentionContext* ctx, Tensor* z_out) {
   SSIN_CHECK_EQ(q.rank(), 2);
   SSIN_CHECK(q.SameShape(k) && q.SameShape(v));
   const int length = q.dim(0);
@@ -171,39 +161,12 @@ void PackedAttentionForwardInto(const Tensor& q, const Tensor& k,
   CheckForwardShapes(k, c, plan, cfg);
 
   ctx->alpha.assign(static_cast<size_t>(plan.num_pairs()), 0.0);
-
-  if (z_out->rank() != 2 || z_out->dim(0) != length || z_out->dim(1) != d) {
-    *z_out = Tensor({length, d});
-  }
+  Tensor z({length, d});
   PackedAttentionForwardRows<double, simd::VecOps>(
       q.data(), k.data(), v.data(), cfg.use_srpe ? c->data() : nullptr, plan,
       cfg.packed_srpe, d, /*tail_begin=*/0, &ctx->scores, ctx->alpha.data(),
-      z_out->data());
-}
-
-void PackedAttentionTailForwardInto(const Tensor& q, const Tensor& k,
-                                    const Tensor& v, const Tensor* c,
-                                    const AttentionPlan& plan, int tail_begin,
-                                    const AttentionConfig& cfg,
-                                    AttentionContext* ctx, Tensor* z_out) {
-  SSIN_CHECK_EQ(k.rank(), 2);
-  SSIN_CHECK(k.SameShape(v));
-  const int length = k.dim(0);
-  const int d = k.dim(1);
-  SSIN_CHECK(tail_begin >= 0 && tail_begin <= length);
-  const int num_queries = length - tail_begin;
-  SSIN_CHECK_EQ(q.dim(0), num_queries);
-  SSIN_CHECK_EQ(q.dim(1), d);
-  CheckForwardShapes(k, c, plan, cfg);
-
-  if (z_out->rank() != 2 || z_out->dim(0) != num_queries ||
-      z_out->dim(1) != d) {
-    *z_out = Tensor({num_queries, d});
-  }
-  PackedAttentionForwardRows<double, simd::VecOps>(
-      q.data(), k.data(), v.data(), cfg.use_srpe ? c->data() : nullptr, plan,
-      cfg.packed_srpe, d, tail_begin, &ctx->scores, /*alpha_out=*/nullptr,
-      z_out->data());
+      z.data());
+  return z;
 }
 
 void PackedAttentionBackward(const Tensor& q, const Tensor& k,

@@ -164,6 +164,22 @@ class TensorF32 {
   std::vector<float> data_;
 };
 
+/// The tensor type holding elements of type T on the serving path:
+/// Tensor for double, TensorF32 for float. Lets the graph-free forward be
+/// written once over its element type.
+template <typename T>
+struct TensorFor;
+template <>
+struct TensorFor<double> {
+  using type = Tensor;
+};
+template <>
+struct TensorFor<float> {
+  using type = TensorF32;
+};
+template <typename T>
+using TensorT = typename TensorFor<T>::type;
+
 }  // namespace ssin
 
 #endif  // SSIN_TENSOR_TENSOR_H_

@@ -298,10 +298,36 @@ TEST(LayoutCacheBehavior, WeightMutationsInvalidate) {
 // destandardize path) blows through it.
 constexpr double kF32ServingGate = 1e-3;
 
-TEST(F32ServingTest, GatedEnableMatchesF64WithinBudget) {
+// The model variants the f32 gate covers: the tiny paper-shaped model,
+// plus the configurations whose layers take distinct branches through the
+// serving forward — a single head, SAPE (positions added to the input
+// embeddings, no SRPE in the attention) and bias-free linear embeddings
+// (SpaFormerConfig::EmbBothLinear).
+struct F32GateCase {
+  const char* name;
+  SpaFormerConfig config;
+};
+
+std::vector<F32GateCase> F32GateCases() {
+  SpaFormerConfig one_head = TinyModel(/*packed_srpe=*/true);
+  one_head.num_heads = 1;
+  SpaFormerConfig sape = TinyModel(/*packed_srpe=*/true);
+  sape.position_mode = SpaFormerConfig::PositionMode::kSape;
+  SpaFormerConfig linear = TinyModel(/*packed_srpe=*/true);
+  const SpaFormerConfig emb_both_linear = SpaFormerConfig::EmbBothLinear();
+  linear.value_embedding = emb_both_linear.value_embedding;
+  linear.position_embedding = emb_both_linear.position_embedding;
+  return {{"Tiny", TinyModel(/*packed_srpe=*/true)},
+          {"OneHead", one_head},
+          {"Sape", sape},
+          {"EmbBothLinear", linear}};
+}
+
+class F32ServingGate : public ::testing::TestWithParam<F32GateCase> {};
+
+TEST_P(F32ServingGate, GatedEnableMatchesF64WithinBudget) {
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(GetParam().config, FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
 
   std::vector<const std::vector<double>*> batch;
@@ -348,6 +374,12 @@ TEST(F32ServingTest, GatedEnableMatchesF64WithinBudget) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelVariants, F32ServingGate, ::testing::ValuesIn(F32GateCases()),
+    [](const ::testing::TestParamInfo<F32GateCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(F32ServingTest, NonNegativeClampAppliesInF32) {
   Fixture f;
@@ -533,80 +565,18 @@ TEST(ServingArenaPeak, EmptyQueryStillObservesLatency) {
             count_before + 1);
 }
 
-// ------------------------------------------------- fused serving chain
+// ------------------------------------------------- serving arena bytes
 
-TEST(FusedServingTest, FusedMatchesUnfusedExactlyBothPrecisions) {
-  Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
-  ssin.Fit(f.data, f.observed_ids);
-  EXPECT_TRUE(ssin.fused_serving());  // On by default.
-
-  // f64: the fused kernels replay the unfused blocked arithmetic
-  // per-element, so predictions agree exactly (value equality — the only
-  // representational slack is the sign of exact-zero ReLU outputs).
-  for (int t = 0; t < f.data.num_timestamps(); ++t) {
-    ssin.SetFusedServing(true);
-    const std::vector<double> fused = ssin.InterpolateTimestamp(
-        f.data.Values(t), f.observed_ids, f.query_ids);
-    ssin.SetFusedServing(false);
-    const std::vector<double> unfused = ssin.InterpolateTimestamp(
-        f.data.Values(t), f.observed_ids, f.query_ids);
-    ASSERT_EQ(fused.size(), unfused.size());
-    for (size_t q = 0; q < fused.size(); ++q) {
-      EXPECT_EQ(fused[q], unfused[q]) << "timestamp " << t << " query " << q;
-    }
-  }
-
-  // f32 serving: same contract at the narrower precision.
-  ssin.set_serving_precision(SsinInterpolator::ServingPrecision::kFloat32);
-  for (int t = 0; t < f.data.num_timestamps(); ++t) {
-    ssin.SetFusedServing(true);
-    const std::vector<double> fused = ssin.InterpolateTimestamp(
-        f.data.Values(t), f.observed_ids, f.query_ids);
-    ssin.SetFusedServing(false);
-    const std::vector<double> unfused = ssin.InterpolateTimestamp(
-        f.data.Values(t), f.observed_ids, f.query_ids);
-    ASSERT_EQ(fused.size(), unfused.size());
-    for (size_t q = 0; q < fused.size(); ++q) {
-      EXPECT_EQ(fused[q], unfused[q]) << "timestamp " << t << " query " << q;
-    }
-  }
-}
-
-TEST(FusedServingTest, NonBlockedMatMulConfigBypassesFusion) {
-  // The fused chain reproduces the *blocked* matmul arithmetic; under the
-  // branchy reference configuration Predict must fall back to the unfused
-  // composition, so the fused flag changes nothing at all.
-  Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
-  ssin.Fit(f.data, f.observed_ids);
-
-  const MatMulConfig saved = GetMatMulConfig();
-  SetMatMulConfig({/*blocked=*/false, /*num_threads=*/1});
-  ssin.SetFusedServing(true);
-  const std::vector<double> flagged = ssin.InterpolateTimestamp(
-      f.data.Values(0), f.observed_ids, f.query_ids);
-  ssin.SetFusedServing(false);
-  const std::vector<double> unflagged = ssin.InterpolateTimestamp(
-      f.data.Values(0), f.observed_ids, f.query_ids);
-  SetMatMulConfig(saved);
-  ssin.SetFusedServing(true);
-
-  ASSERT_EQ(flagged.size(), unflagged.size());
-  for (size_t q = 0; q < flagged.size(); ++q) {
-    EXPECT_EQ(flagged[q], unflagged[q]);
-  }
-}
+// Upper bounds on one InterpolateTimestamp's workspace arena at the paper
+// serving geometry below (L=123, m=113, d_ff=256), 0.7x the arena of the
+// historical unfused serving chain, which kept per-head q/k/v/z tensors and
+// the [L, d_ff] FFN hidden activation in the arena. A build of that chain
+// measured 1,075,024 B (f64) and 538,004 B (f32) with this test's setup;
+// the row-wise forward measured 420,560 B and 210,772 B.
+constexpr double kMaxArenaBytesF64 = 752516;  // 0.7 * 1,075,024
+constexpr double kMaxArenaBytesF32 = 376602;  // 0.7 * 538,004
 
 TEST(FusedServingTest, ArenaShrinksAtPaperConfig) {
-  // The point of the fusion: at the paper's serving geometry (L=123,
-  // m=113, d_ff=256) the fused chain must cut the workspace arena
-  // high-water mark by at least 30% — the [L, d_ff] FFN hidden tensors and
-  // the per-head q/k/v/z tensors no longer hit the arena.
-  if (!telemetry::CompiledIn()) GTEST_SKIP() << "telemetry compiled out";
-
   RainfallGenerator generator(HkRegionConfig());  // 123 gauges.
   SpatialDataset data = generator.GenerateHours(2, 7);
   std::vector<int> observed_ids, query_ids;
@@ -615,29 +585,25 @@ TEST(FusedServingTest, ArenaShrinksAtPaperConfig) {
   }
   ASSERT_EQ(113u, observed_ids.size());
 
-  SsinInterpolator ssin(SpaFormerConfig::Paper(),
-                        FastTraining(/*mean_fill=*/true));
-  ssin.Prepare(data, observed_ids);  // Serving needs no trained weights.
+  // A fresh interpolator per precision, so its arena high-water mark
+  // (recorded with telemetry off too) is that one serving call's arena.
+  auto arena_bytes = [&](SsinInterpolator::ServingPrecision precision) {
+    SsinInterpolator ssin(SpaFormerConfig::Paper(),
+                          FastTraining(/*mean_fill=*/true));
+    ssin.Prepare(data, observed_ids);  // Serving needs no trained weights.
+    ssin.set_serving_precision(precision);
+    ssin.InterpolateTimestamp(data.Values(0), observed_ids, query_ids);
+    return static_cast<double>(ssin.arena_peak_bytes());
+  };
+  const double f64_bytes =
+      arena_bytes(SsinInterpolator::ServingPrecision::kFloat64);
+  const double f32_bytes =
+      arena_bytes(SsinInterpolator::ServingPrecision::kFloat32);
 
-  telemetry::SetEnabled(true);
-  ssin.SetFusedServing(true);
-  ssin.InterpolateTimestamp(data.Values(0), observed_ids, query_ids);
-  const double fused_bytes =
-      telemetry::GetGauge("serve.workspace_arena_bytes")->Value();
-  ssin.SetFusedServing(false);
-  ssin.InterpolateTimestamp(data.Values(0), observed_ids, query_ids);
-  const double unfused_bytes =
-      telemetry::GetGauge("serve.workspace_arena_bytes")->Value();
-  const double peak_bytes =
-      telemetry::GetGauge("serve.arena_peak_bytes")->Value();
-  telemetry::SetEnabled(false);
-  ssin.SetFusedServing(true);
-
-  EXPECT_GT(fused_bytes, 0.0);
-  EXPECT_LE(fused_bytes, 0.7 * unfused_bytes)
-      << "fused=" << fused_bytes << " unfused=" << unfused_bytes;
-  // The process-wide peak saw at least the larger of the two calls.
-  EXPECT_GE(peak_bytes, unfused_bytes);
+  EXPECT_GT(f64_bytes, 0.0);
+  EXPECT_LE(f64_bytes, kMaxArenaBytesF64);
+  EXPECT_GT(f32_bytes, 0.0);
+  EXPECT_LE(f32_bytes, kMaxArenaBytesF32);
 }
 
 // ------------------------------------------------- workspace + validation
@@ -666,8 +632,8 @@ TEST(InferenceWorkspaceTest, ArenaReusesSlotsAfterReset) {
 TEST(InferenceWorkspaceTest, F32ArenaIsIndependentOfF64Arena) {
   InferenceWorkspace ws;
   Tensor* a = ws.Acquire({4, 8});
-  TensorF32* fa = ws.AcquireF32({4, 8});
-  TensorF32* fb = ws.AcquireF32({2, 2});
+  TensorF32* fa = ws.Acquire<float>({4, 8});
+  TensorF32* fb = ws.Acquire<float>({2, 2});
   EXPECT_NE(fa, fb);
   EXPECT_EQ(ws.num_slots(), 1u);
   EXPECT_EQ(ws.num_f32_slots(), 2u);
@@ -676,7 +642,7 @@ TEST(InferenceWorkspaceTest, F32ArenaIsIndependentOfF64Arena) {
 
   ws.Reset();  // Rewinds both cursors.
   EXPECT_EQ(ws.Acquire({4, 8}), a);
-  EXPECT_EQ(ws.AcquireF32({4, 8}), fa);
+  EXPECT_EQ(ws.Acquire<float>({4, 8}), fa);
   EXPECT_EQ(ws.num_f32_slots(), 2u);
   (void)a;
 }

@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/simd.h"
 #include "core/ssin_interpolator.h"
 #include "data/rainfall_generator.h"
 #include "eval/runner.h"
@@ -168,91 +169,43 @@ TEST(AttentionPlanLifecycle, DensePipelineAlsoBuildsOnce) {
 
 // ------------------------------------------------------- matmul kernels
 
-struct MatMulResult {
-  double loss = 0.0;
-  Tensor da, db;
-};
-
-/// loss = sum((A B)^2) under the given matmul kernel configuration;
-/// backward exercises all three kernels (fwd, dA = g B^T, dB = A^T g).
-MatMulResult RunMatMul(const Tensor& a, const Tensor& b,
-                       const MatMulConfig& config) {
-  const MatMulConfig saved = GetMatMulConfig();
-  SetMatMulConfig(config);
-  MatMulResult result;
-  result.da = Tensor(a.shape());
-  result.db = Tensor(b.shape());
-  Graph g;
-  Var va = g.Leaf(a, &result.da);
-  Var vb = g.Leaf(b, &result.db);
-  Var z = MatMul(va, vb);
-  Var loss = Sum(Mul(z, z));
-  g.Backward(loss);
-  result.loss = loss.value()[0];
-  SetMatMulConfig(saved);
-  return result;
-}
-
-TEST(BlockedMatMulTest, MatchesReferenceAndIsThreadCountInvariant) {
+TEST(BlockedMatMulTest, MatchesReference) {
+  // loss = sum((A B)^2) through the autograd MatMul, whose forward and
+  // both backward products (dA = g B^T, dB = A^T g) run the blocked
+  // kernels, against the same quantities from the branchy serial
+  // simd::MatMulAcc*Ref oracles.
   Rng rng(23);
-  // Odd sizes exercise the unroll tails; zeros exercise the removed
-  // aip == 0 fast path of the reference kernel.
-  Tensor a = Tensor::Randn({37, 19}, &rng);
-  Tensor b = Tensor::Randn({19, 23}, &rng);
+  // Odd sizes exercise the unroll tails; zeros exercise the aip == 0 skip
+  // of the reference kernels.
+  const int m = 37, k = 19, n = 23;
+  Tensor a = Tensor::Randn({m, k}, &rng);
+  Tensor b = Tensor::Randn({k, n}, &rng);
   for (int64_t i = 0; i < a.numel(); i += 7) a[i] = 0.0;
 
-  const MatMulResult ref =
-      RunMatMul(a, b, MatMulConfig{/*blocked=*/false, /*num_threads=*/1});
-  const MatMulResult blocked =
-      RunMatMul(a, b, MatMulConfig{/*blocked=*/true, /*num_threads=*/1});
-  const MatMulResult threaded =
-      RunMatMul(a, b, MatMulConfig{/*blocked=*/true, /*num_threads=*/4});
+  Tensor da(a.shape()), db(b.shape());
+  Graph g;
+  Var z = MatMul(g.Leaf(a, &da), g.Leaf(b, &db));
+  Var loss = Sum(Mul(z, z));
+  g.Backward(loss);
+
+  Tensor z_ref({m, n}), da_ref({m, k}), db_ref({k, n});
+  simd::MatMulAccRef(a.data(), b.data(), z_ref.data(), m, k, n);
+  double loss_ref = 0.0;
+  Tensor dz_ref({m, n});  // d loss / dz = 2z.
+  for (int64_t i = 0; i < z_ref.numel(); ++i) {
+    loss_ref += z_ref[i] * z_ref[i];
+    dz_ref[i] = 2.0 * z_ref[i];
+  }
+  simd::MatMulAccBtRef(dz_ref.data(), b.data(), da_ref.data(), m, n, k);
+  simd::MatMulAccAtRef(a.data(), dz_ref.data(), db_ref.data(), m, k, n);
 
   // Blocked kernels reassociate the p-sum: equal to fp tolerance.
-  EXPECT_NEAR(blocked.loss, ref.loss, 1e-9 * (1.0 + std::fabs(ref.loss)));
+  EXPECT_NEAR(loss.value()[0], loss_ref, 1e-9 * (1.0 + std::fabs(loss_ref)));
   for (int64_t i = 0; i < a.numel(); ++i) {
-    EXPECT_NEAR(blocked.da[i], ref.da[i], 1e-9) << "da[" << i << "]";
+    EXPECT_NEAR(da[i], da_ref[i], 1e-9) << "da[" << i << "]";
   }
   for (int64_t i = 0; i < b.numel(); ++i) {
-    EXPECT_NEAR(blocked.db[i], ref.db[i], 1e-9) << "db[" << i << "]";
-  }
-
-  // Each output element is owned by exactly one row block with a fixed
-  // inner order: thread count cannot change a single bit.
-  EXPECT_EQ(threaded.loss, blocked.loss);
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    EXPECT_EQ(threaded.da[i], blocked.da[i]) << "da[" << i << "]";
-  }
-  for (int64_t i = 0; i < b.numel(); ++i) {
-    EXPECT_EQ(threaded.db[i], blocked.db[i]) << "db[" << i << "]";
-  }
-}
-
-TEST(BlockedMatMulTest, ParallelMatMulDuringParallelTrainingIsSafe) {
-  // Matmul worker threads + data-parallel training workers together: the
-  // nested ParallelFor contract makes in-worker matmuls run inline, so
-  // this must stay deterministic (and TSan-clean; this test is in the
-  // run_tsan.sh target set).
-  RainfallGenerator gen(TinyRegion());
-  SpatialDataset data = gen.GenerateHours(10, 6);
-
-  const TrainResult plain = TrainOnce(data, /*packed_srpe=*/true,
-                                      /*num_threads=*/4, /*dynamic=*/true);
-
-  const MatMulConfig saved = GetMatMulConfig();
-  SetMatMulConfig(MatMulConfig{/*blocked=*/true, /*num_threads=*/2});
-  const TrainResult with_matmul_pool =
-      TrainOnce(data, /*packed_srpe=*/true, /*num_threads=*/4,
-                /*dynamic=*/true);
-  SetMatMulConfig(saved);
-
-  ASSERT_EQ(plain.epoch_loss.size(), with_matmul_pool.epoch_loss.size());
-  for (size_t e = 0; e < plain.epoch_loss.size(); ++e) {
-    EXPECT_EQ(plain.epoch_loss[e], with_matmul_pool.epoch_loss[e]);
-  }
-  ASSERT_EQ(plain.params.size(), with_matmul_pool.params.size());
-  for (size_t i = 0; i < plain.params.size(); ++i) {
-    EXPECT_EQ(plain.params[i], with_matmul_pool.params[i]);
+    EXPECT_NEAR(db[i], db_ref[i], 1e-9) << "db[" << i << "]";
   }
 }
 

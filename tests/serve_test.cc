@@ -224,6 +224,81 @@ TEST(ModelRegistryTest, MultipleResidentModelsServeIndependently) {
                 f.expected_b[1], "model bw");
 }
 
+TEST(ModelRegistryTest, MismatchedPromoteIsRefusedAndKeepsServing) {
+  ServeFixture& f = Fixture();
+  ModelRegistry registry;
+  auto [active, standby] = f.MakeBuffers();
+  SsinInterpolator* active_raw = active.get();
+  registry.Register("hk", std::move(active), std::move(standby));
+  telemetry::Counter* rejected =
+      telemetry::GetCounter("serve.promote_rejected_total");
+
+  auto serve_all = [&] {
+    std::vector<std::vector<double>> answers;
+    for (int t = 0; t < f.data.num_timestamps(); ++t) {
+      answers.push_back(registry.Acquire("hk")->InterpolateTimestamp(
+          f.data.Values(t), f.observed_ids, f.query_ids));
+    }
+    return answers;
+  };
+  const std::vector<std::vector<double>> before = serve_all();
+
+  // A wider model (d_model 16 vs the entry's 8) is refused without
+  // aborting, swapping or touching the standby; so is an unprepared one.
+  SpaFormerConfig wide = TinyModel();
+  wide.d_model = 16;
+  SsinInterpolator mismatched(wide, FastTraining(13));
+  mismatched.Prepare(f.data, f.observed_ids);
+  const int64_t rejected_before = rejected->Value();
+  EXPECT_FALSE(registry.Promote("hk", mismatched));
+  EXPECT_EQ(rejected->Value(), rejected_before + 1);
+  SsinInterpolator unprepared(TinyModel(), FastTraining(13));
+  EXPECT_FALSE(registry.Promote("hk", unprepared));
+  EXPECT_EQ(rejected->Value(), rejected_before + 2);
+  EXPECT_EQ(registry.promotions(), 0);
+  EXPECT_EQ(registry.Acquire("hk").get(), active_raw);
+
+  const std::vector<std::vector<double>> after = serve_all();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t t = 0; t < before.size(); ++t) {
+    ExpectExactly(after[t], before[t], "after refused promote");
+    ExpectExactly(after[t], f.expected_a[t], "generation A");
+  }
+
+  // The entry still takes a valid promotion.
+  EXPECT_TRUE(registry.Promote("hk", *f.source_b));
+  EXPECT_EQ(registry.promotions(), 1);
+  EXPECT_EQ(rejected->Value(), rejected_before + 2);
+  ExpectExactly(registry.Acquire("hk")->InterpolateTimestamp(
+                    f.data.Values(0), f.observed_ids, f.query_ids),
+                f.expected_b[0], "promoted model");
+}
+
+TEST(ModelRegistryTest, CopyParametersFromValidatesBeforeCopying) {
+  // Only the FFN shapes differ (d_ff 64 vs 32), so the parameters ahead of
+  // them match: a copy that validated as it went would already have
+  // overwritten those before reaching the mismatch.
+  ServeFixture& f = Fixture();
+  auto [target, unused] = f.MakeBuffers();
+  SpaFormerConfig wide_ffn = TinyModel();
+  wide_ffn.d_ff = 64;
+  SsinInterpolator source(wide_ffn, FastTraining(99));
+  source.Prepare(f.data, f.observed_ids);
+
+  std::string mismatch;
+  EXPECT_FALSE(target->CopyParametersFrom(source, &mismatch));
+  EXPECT_NE(mismatch.find("ffn"), std::string::npos) << mismatch;
+  for (int t = 0; t < f.data.num_timestamps(); ++t) {
+    ExpectExactly(target->InterpolateTimestamp(f.data.Values(t),
+                                               f.observed_ids, f.query_ids),
+                  f.expected_a[t], "after refused copy");
+  }
+  EXPECT_TRUE(target->CopyParametersFrom(*f.source_b));
+  ExpectExactly(target->InterpolateTimestamp(f.data.Values(0),
+                                             f.observed_ids, f.query_ids),
+                f.expected_b[0], "after valid copy");
+}
+
 // -------------------------------------------------- coalescing batcher
 
 TEST(InterpolationServerTest, CoalescedBatchesMatchDirectCalls) {
