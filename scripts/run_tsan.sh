@@ -29,8 +29,9 @@ echo "== packed_srpe_equivalence_test (TSan) =="
 "${BUILD_DIR}/tests/packed_srpe_equivalence_test"
 
 echo "== kernel_differential_test (TSan) =="
-# Exercises the threaded MatMulInto dispatch (1 vs 4 threads) over the
-# SIMD kernels.
+# Single-threaded sweeps over the SIMD kernels (MatMulInto and friends run
+# serially); kept here so the kernels the threaded suites call are also
+# covered by an instrumented build.
 "${BUILD_DIR}/tests/kernel_differential_test"
 
 echo "== inference_equivalence_test (TSan) =="

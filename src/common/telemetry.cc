@@ -5,7 +5,6 @@
 #include <cmath>
 #include <map>
 
-#include "common/check.h"
 #include "common/json_writer.h"
 
 namespace ssin {
@@ -13,14 +12,19 @@ namespace telemetry {
 
 namespace {
 
-/// Default fixed bucket bounds: the 1-2-5 series over 1e-9 .. 1e9.
-std::vector<double> DefaultBounds() {
-  std::vector<double> bounds;
-  for (int exp = -9; exp <= 9; ++exp) {
-    const double decade = std::pow(10.0, exp);
-    for (double m : {1.0, 2.0, 5.0}) bounds.push_back(m * decade);
-  }
-  return bounds;
+/// Fixed bucket bounds of every histogram: the 1-2-5 series over
+/// 1e-9 .. 1e9. Leaked like the registry, so histograms stay usable from
+/// static destructors and detached threads.
+const std::vector<double>& BucketBounds() {
+  static const std::vector<double>* bounds = [] {
+    auto* series = new std::vector<double>();
+    for (int exp = -9; exp <= 9; ++exp) {
+      const double decade = std::pow(10.0, exp);
+      for (double m : {1.0, 2.0, 5.0}) series->push_back(m * decade);
+    }
+    return series;
+  }();
+  return *bounds;
 }
 
 uint64_t SplitMix64(uint64_t* state) {
@@ -35,9 +39,10 @@ constexpr int64_t kNsPerSecond = 1000000000;
 /// Wall-free epoch for the window rings: whole seconds on the NowNs clock.
 int64_t NowSecond() { return NowNs() / kNsPerSecond; }
 
-/// Ring size for a trailing window of `window_seconds`: one slot per
-/// second plus slack so a slot being recycled is never also in-window.
-int WindowSlotCount(int window_seconds) { return window_seconds + 2; }
+/// Oldest second inside the trailing window: the window covers the
+/// current (partial) second and the kWindowSeconds - 1 full seconds
+/// before it.
+int64_t OldestWindowSecond() { return NowSecond() - kWindowSeconds + 1; }
 
 uint64_t ReservoirSeed(int shard, int64_t epoch) {
   return 0x5851f42d4c957f2dull ^ (static_cast<uint64_t>(shard) << 32) ^
@@ -73,21 +78,59 @@ int ThreadShardIndex() {
 // ---------------------------------------------------------------------------
 // Counter.
 
+void Counter::Add(int64_t delta) {
+  Shard& shard = shards_[ThreadShardIndex()];
+  shard.lifetime.fetch_add(delta, std::memory_order_relaxed);
+  const int64_t second = NowSecond();
+  Slot& slot = shard.slots[second % kWindowSlots];
+  if (slot.epoch.load(std::memory_order_acquire) != second) {
+    // Recycle the slot for the new second; the exchange elects exactly one
+    // zeroing writer should two threads share the shard.
+    if (slot.epoch.exchange(second, std::memory_order_acq_rel) != second) {
+      slot.value.store(0, std::memory_order_relaxed);
+    }
+  }
+  slot.value.fetch_add(delta, std::memory_order_relaxed);
+}
+
 int64_t Counter::Value() const {
   int64_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.value.load(std::memory_order_relaxed);
+    total += shard.lifetime.load(std::memory_order_relaxed);
   }
   return total;
 }
 
+int64_t Counter::WindowValue() const {
+  const int64_t oldest = OldestWindowSecond();
+  int64_t total = 0;
+  for (const Shard& shard : shards_) {
+    for (const Slot& slot : shard.slots) {
+      if (slot.epoch.load(std::memory_order_acquire) >= oldest) {
+        total += slot.value.load(std::memory_order_relaxed);
+      }
+    }
+  }
+  return total;
+}
+
+void Counter::Reset() {
+  for (Shard& shard : shards_) {
+    shard.lifetime.store(0, std::memory_order_relaxed);
+    for (Slot& slot : shard.slots) {
+      slot.epoch.store(-1, std::memory_order_relaxed);
+      slot.value.store(0, std::memory_order_relaxed);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Histogram.
+// WindowedHistogram.
 
 namespace internal {
 
-void HistogramCell::Observe(double value, const std::vector<double>& bounds,
-                            size_t reservoir_capacity) {
+void HistogramCell::Observe(double value, size_t capacity) {
+  const std::vector<double>& bounds = BucketBounds();
   if (buckets.empty()) buckets.assign(bounds.size() + 1, 0);
   ++count;
   sum += value;
@@ -98,12 +141,12 @@ void HistogramCell::Observe(double value, const std::vector<double>& bounds,
   const size_t bucket =
       std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin();
   ++buckets[bucket];
-  if (reservoir.size() < reservoir_capacity) {
+  if (reservoir.size() < capacity) {
     reservoir.push_back(value);
   } else {
     // Algorithm R: keep a uniform subsample once the reservoir is full.
     const uint64_t slot = SplitMix64(&rng) % static_cast<uint64_t>(count);
-    if (slot < reservoir_capacity) {
+    if (slot < capacity) {
       reservoir[static_cast<size_t>(slot)] = value;
     }
   }
@@ -132,60 +175,6 @@ void HistogramCell::Reset() {
 
 }  // namespace internal
 
-namespace {
-
-void CheckAscendingBounds(const std::vector<double>& bounds) {
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    SSIN_CHECK_LT(bounds[i - 1], bounds[i])
-        << "histogram bucket bounds must be strictly ascending";
-  }
-}
-
-}  // namespace
-
-Histogram::Histogram(std::string name, const HistogramOptions& options)
-    : name_(std::move(name)),
-      bounds_(options.bucket_bounds.empty() ? DefaultBounds()
-                                            : options.bucket_bounds),
-      reservoir_capacity_(std::max<size_t>(1, options.reservoir_capacity)) {
-  CheckAscendingBounds(bounds_);
-  shards_.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->cell.buckets.assign(bounds_.size() + 1, 0);
-    shard->cell.rng = ReservoirSeed(s, 0);
-    shards_.push_back(std::move(shard));
-  }
-}
-
-void Histogram::Observe(double value) {
-  Shard& shard = *shards_[ThreadShardIndex()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.cell.Observe(value, bounds_, reservoir_capacity_);
-}
-
-HistogramSnapshot Histogram::Snapshot() const {
-  HistogramSnapshot snap;
-  snap.name = name_;
-  snap.bucket_bounds = bounds_;
-  snap.bucket_counts.assign(bounds_.size() + 1, 0);
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.cell.MergeInto(&snap);
-  }
-  std::sort(snap.samples.begin(), snap.samples.end());
-  return snap;
-}
-
-void Histogram::Reset() {
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.cell.Reset();
-  }
-}
-
 double HistogramSnapshot::Quantile(double q) const {
   if (samples.empty()) return 0.0;
   q = std::min(1.0, std::max(0.0, q));
@@ -196,116 +185,44 @@ double HistogramSnapshot::Quantile(double q) const {
   return samples[lo] + fraction * (samples[lo + 1] - samples[lo]);
 }
 
-// ---------------------------------------------------------------------------
-// WindowedCounter.
-
-WindowedCounter::WindowedCounter(std::string name, int window_seconds)
-    : name_(std::move(name)),
-      window_seconds_(std::max(1, window_seconds)),
-      num_slots_(WindowSlotCount(window_seconds_)) {
-  for (Shard& shard : shards_) {
-    shard.slots = std::make_unique<Slot[]>(static_cast<size_t>(num_slots_));
-  }
-}
-
-void WindowedCounter::Add(int64_t delta) {
-  Shard& shard = shards_[ThreadShardIndex()];
-  shard.lifetime.fetch_add(delta, std::memory_order_relaxed);
-  const int64_t second = NowSecond();
-  Slot& slot = shard.slots[static_cast<size_t>(second % num_slots_)];
-  if (slot.epoch.load(std::memory_order_acquire) != second) {
-    // Recycle the slot for the new second; the exchange elects exactly one
-    // zeroing writer should two threads share the shard.
-    if (slot.epoch.exchange(second, std::memory_order_acq_rel) != second) {
-      slot.value.store(0, std::memory_order_relaxed);
-    }
-  }
-  slot.value.fetch_add(delta, std::memory_order_relaxed);
-}
-
-int64_t WindowedCounter::Value() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.lifetime.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-int64_t WindowedCounter::WindowValue() const {
-  // The window covers the current (partial) second and the
-  // window_seconds - 1 full seconds before it.
-  const int64_t oldest = NowSecond() - window_seconds_ + 1;
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    for (int i = 0; i < num_slots_; ++i) {
-      const Slot& slot = shard.slots[static_cast<size_t>(i)];
-      if (slot.epoch.load(std::memory_order_acquire) >= oldest) {
-        total += slot.value.load(std::memory_order_relaxed);
-      }
-    }
-  }
-  return total;
-}
-
-void WindowedCounter::Reset() {
-  for (Shard& shard : shards_) {
-    shard.lifetime.store(0, std::memory_order_relaxed);
-    for (int i = 0; i < num_slots_; ++i) {
-      Slot& slot = shard.slots[static_cast<size_t>(i)];
-      slot.epoch.store(-1, std::memory_order_relaxed);
-      slot.value.store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// WindowedHistogram.
-
-WindowedHistogram::WindowedHistogram(std::string name,
-                                     const HistogramOptions& options,
-                                     int window_seconds)
-    : name_(std::move(name)),
-      bounds_(options.bucket_bounds.empty() ? DefaultBounds()
-                                            : options.bucket_bounds),
-      reservoir_capacity_(std::max<size_t>(1, options.reservoir_capacity)),
-      window_reservoir_capacity_(
-          std::max<size_t>(1, options.window_reservoir_capacity)),
-      window_seconds_(std::max(1, window_seconds)),
-      num_slots_(WindowSlotCount(window_seconds_)) {
-  CheckAscendingBounds(bounds_);
-  shards_.reserve(kShards);
+WindowedHistogram::WindowedHistogram(std::string name)
+    : name_(std::move(name)) {
   for (int s = 0; s < kShards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->lifetime.buckets.assign(bounds_.size() + 1, 0);
-    shard->lifetime.rng = ReservoirSeed(s, 0);
-    // Slot cells stay empty (no bucket vectors) until their first Observe.
-    shard->slots.resize(static_cast<size_t>(num_slots_));
-    shards_.push_back(std::move(shard));
+    shards_[s].lifetime.rng = ReservoirSeed(s, 0);
   }
 }
 
 void WindowedHistogram::Observe(double value) {
   const int shard_index = ThreadShardIndex();
-  Shard& shard = *shards_[shard_index];
+  Shard& shard = shards_[shard_index];
   const int64_t second = NowSecond();
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.lifetime.Observe(value, bounds_, reservoir_capacity_);
-  Slot& slot = shard.slots[static_cast<size_t>(second % num_slots_)];
+  shard.lifetime.Observe(value, kReservoirCapacity);
+  Slot& slot = shard.slots[second % kWindowSlots];
   if (slot.epoch != second) {
     slot.epoch = second;
     slot.cell.Reset();
     slot.cell.rng = ReservoirSeed(shard_index, second);
   }
-  slot.cell.Observe(value, bounds_, window_reservoir_capacity_);
+  slot.cell.Observe(value, kWindowReservoirCapacity);
 }
 
-HistogramSnapshot WindowedHistogram::Snapshot() const {
+namespace {
+
+/// Empty snapshot of `name`, ready for HistogramCell::MergeInto.
+HistogramSnapshot EmptySnapshot(const std::string& name) {
   HistogramSnapshot snap;
-  snap.name = name_;
-  snap.bucket_bounds = bounds_;
-  snap.bucket_counts.assign(bounds_.size() + 1, 0);
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
+  snap.name = name;
+  snap.bucket_bounds = BucketBounds();
+  snap.bucket_counts.assign(snap.bucket_bounds.size() + 1, 0);
+  return snap;
+}
+
+}  // namespace
+
+HistogramSnapshot WindowedHistogram::Snapshot() const {
+  HistogramSnapshot snap = EmptySnapshot(name_);
+  for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.lifetime.MergeInto(&snap);
   }
@@ -314,13 +231,9 @@ HistogramSnapshot WindowedHistogram::Snapshot() const {
 }
 
 HistogramSnapshot WindowedHistogram::WindowSnapshot() const {
-  HistogramSnapshot snap;
-  snap.name = name_;
-  snap.bucket_bounds = bounds_;
-  snap.bucket_counts.assign(bounds_.size() + 1, 0);
-  const int64_t oldest = NowSecond() - window_seconds_ + 1;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
+  HistogramSnapshot snap = EmptySnapshot(name_);
+  const int64_t oldest = OldestWindowSecond();
+  for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const Slot& slot : shard.slots) {
       if (slot.epoch >= oldest) slot.cell.MergeInto(&snap);
@@ -331,8 +244,7 @@ HistogramSnapshot WindowedHistogram::WindowSnapshot() const {
 }
 
 void WindowedHistogram::Reset() {
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
+  for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.lifetime.Reset();
     for (Slot& slot : shard.slots) {
@@ -368,9 +280,8 @@ T* FindOrInsert(std::vector<std::unique_ptr<T>>* items,
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  return FindOrInsert(&counters_, name, [&] {
-    return std::unique_ptr<Counter>(new Counter(name));
-  });
+  return FindOrInsert(&counters_, name,
+                      [&] { return std::make_unique<Counter>(name); });
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
@@ -380,30 +291,11 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   });
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         const HistogramOptions& options) {
+WindowedHistogram* MetricsRegistry::GetWindowedHistogram(
+    const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   return FindOrInsert(&histograms_, name, [&] {
-    return std::unique_ptr<Histogram>(new Histogram(name, options));
-  });
-}
-
-WindowedCounter* MetricsRegistry::GetWindowedCounter(const std::string& name,
-                                                     int window_seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return FindOrInsert(&windowed_counters_, name, [&] {
-    return std::unique_ptr<WindowedCounter>(
-        new WindowedCounter(name, window_seconds));
-  });
-}
-
-WindowedHistogram* MetricsRegistry::GetWindowedHistogram(
-    const std::string& name, const HistogramOptions& options,
-    int window_seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return FindOrInsert(&windowed_histograms_, name, [&] {
-    return std::unique_ptr<WindowedHistogram>(
-        new WindowedHistogram(name, options, window_seconds));
+    return std::unique_ptr<WindowedHistogram>(new WindowedHistogram(name));
   });
 }
 
@@ -411,40 +303,24 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
   snap.counters.reserve(counters_.size());
-  for (const auto& c : counters_) snap.counters.emplace_back(c->name(),
-                                                             c->Value());
+  for (const auto& c : counters_) {
+    snap.counters.push_back({c->name(), c->Value(), c->WindowValue()});
+  }
   snap.gauges.reserve(gauges_.size());
   for (const auto& g : gauges_) snap.gauges.emplace_back(g->name(),
                                                          g->Value());
   snap.histograms.reserve(histograms_.size());
-  for (const auto& h : histograms_) snap.histograms.push_back(h->Snapshot());
-  snap.windowed_counters.reserve(windowed_counters_.size());
-  for (const auto& wc : windowed_counters_) {
-    snap.windowed_counters.push_back({wc->name(), wc->window_seconds(),
-                                      wc->Value(), wc->WindowValue()});
-  }
-  snap.windowed_histograms.reserve(windowed_histograms_.size());
-  for (const auto& wh : windowed_histograms_) {
-    MetricsSnapshot::WindowedHistogramSnapshot entry;
-    entry.window_seconds = wh->window_seconds();
-    entry.lifetime = wh->Snapshot();
-    entry.window = wh->WindowSnapshot();
-    snap.windowed_histograms.push_back(std::move(entry));
+  for (const auto& h : histograms_) {
+    snap.histograms.push_back({h->Snapshot(), h->WindowSnapshot()});
   }
   return snap;
 }
 
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& c : counters_) {
-    for (Counter::Shard& shard : c->shards_) {
-      shard.value.store(0, std::memory_order_relaxed);
-    }
-  }
+  for (const auto& c : counters_) c->Reset();
   for (const auto& g : gauges_) g->Set(0.0);
   for (const auto& h : histograms_) h->Reset();
-  for (const auto& wc : windowed_counters_) wc->Reset();
-  for (const auto& wh : windowed_histograms_) wh->Reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -613,18 +489,13 @@ void WriteHistogramJson(JsonWriter* w, const HistogramSnapshot& h) {
 
 void WriteSnapshotMembers(JsonWriter* w, const MetricsSnapshot& metrics,
                           const std::vector<ThreadTrace>& traces) {
-  // Windowed lifetimes fold into the plain counters/histograms sections so
-  // existing consumers see one namespace; the trailing-window views get
-  // their own "windows" section below.
+  // Lifetime views under "counters"/"histograms"; every trailing-window
+  // view under "windows", keyed by the same metric name.
   w->Key("counters");
   w->BeginObject();
-  for (const auto& [name, value] : metrics.counters) {
-    w->Key(name);
-    w->Int(value);
-  }
-  for (const auto& wc : metrics.windowed_counters) {
-    w->Key(wc.name);
-    w->Int(wc.lifetime);
+  for (const auto& c : metrics.counters) {
+    w->Key(c.name);
+    w->Int(c.lifetime);
   }
   w->EndObject();
 
@@ -638,34 +509,30 @@ void WriteSnapshotMembers(JsonWriter* w, const MetricsSnapshot& metrics,
 
   w->Key("histograms");
   w->BeginObject();
-  for (const HistogramSnapshot& h : metrics.histograms) {
-    w->Key(h.name);
-    WriteHistogramJson(w, h);
-  }
-  for (const auto& wh : metrics.windowed_histograms) {
-    w->Key(wh.lifetime.name);
-    WriteHistogramJson(w, wh.lifetime);
+  for (const auto& h : metrics.histograms) {
+    w->Key(h.lifetime.name);
+    WriteHistogramJson(w, h.lifetime);
   }
   w->EndObject();
 
   w->Key("windows");
   w->BeginObject();
-  for (const auto& wc : metrics.windowed_counters) {
-    w->Key(wc.name);
+  for (const auto& c : metrics.counters) {
+    w->Key(c.name);
     w->BeginObject();
     w->Key("window_seconds");
-    w->Int(wc.window_seconds);
+    w->Int(kWindowSeconds);
     w->Key("value");
-    w->Int(wc.window);
+    w->Int(c.window);
     w->EndObject();
   }
-  for (const auto& wh : metrics.windowed_histograms) {
-    w->Key(wh.window.name);
+  for (const auto& h : metrics.histograms) {
+    w->Key(h.window.name);
     w->BeginObject();
     w->Key("window_seconds");
-    w->Int(wh.window_seconds);
+    w->Int(kWindowSeconds);
     w->Key("histogram");
-    WriteHistogramJson(w, wh.window);
+    WriteHistogramJson(w, h.window);
     w->EndObject();
   }
   w->EndObject();
@@ -769,10 +636,6 @@ void WriteTraceEvents(JsonWriter* w, const std::vector<ThreadTrace>& traces) {
 
 }  // namespace
 
-void MetricsSnapshot::WriteJson(JsonWriter* writer) const {
-  WriteSnapshotMembers(writer, *this, {});
-}
-
 void WriteSnapshotJson(JsonWriter* writer) {
   const MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
   const std::vector<ThreadTrace> traces = TraceRecorder::Global().Snapshot();
@@ -870,42 +733,32 @@ void AppendPromHistogram(std::string* out, const std::string& prom,
   *out += "\n" + prom + "_count " + std::to_string(h.count) + "\n";
 }
 
-std::string WindowSuffix(int window_seconds) {
-  return "_last" + std::to_string(window_seconds) + "s";
-}
-
 }  // namespace
 
 std::string PrometheusText() {
   const MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
+  const std::string window_suffix =
+      "_last" + std::to_string(kWindowSeconds) + "s";
   std::string out;
-  for (const auto& [name, value] : metrics.counters) {
-    const std::string prom = PromName(name);
+  for (const auto& c : metrics.counters) {
+    const std::string prom = PromName(c.name);
     out += "# TYPE " + prom + " counter\n" + prom + " " +
-           std::to_string(value) + "\n";
-  }
-  for (const auto& wc : metrics.windowed_counters) {
-    const std::string prom = PromName(wc.name);
-    out += "# TYPE " + prom + " counter\n" + prom + " " +
-           std::to_string(wc.lifetime) + "\n";
-    AppendPromGauge(&out, prom + WindowSuffix(wc.window_seconds),
-                    static_cast<double>(wc.window));
+           std::to_string(c.lifetime) + "\n";
+    AppendPromGauge(&out, prom + window_suffix,
+                    static_cast<double>(c.window));
   }
   for (const auto& [name, value] : metrics.gauges) {
     AppendPromGauge(&out, PromName(name), value);
   }
-  for (const HistogramSnapshot& h : metrics.histograms) {
-    AppendPromHistogram(&out, PromName(h.name), h);
-  }
-  for (const auto& wh : metrics.windowed_histograms) {
-    const std::string prom = PromName(wh.lifetime.name);
-    AppendPromHistogram(&out, prom, wh.lifetime);
-    const std::string window = prom + WindowSuffix(wh.window_seconds);
+  for (const auto& h : metrics.histograms) {
+    const std::string prom = PromName(h.lifetime.name);
+    AppendPromHistogram(&out, prom, h.lifetime);
+    const std::string window = prom + window_suffix;
     AppendPromGauge(&out, window + "_count",
-                    static_cast<double>(wh.window.count));
-    AppendPromGauge(&out, window + "_sum", wh.window.sum);
-    AppendPromGauge(&out, window + "_p50", wh.window.Quantile(0.50));
-    AppendPromGauge(&out, window + "_p99", wh.window.Quantile(0.99));
+                    static_cast<double>(h.window.count));
+    AppendPromGauge(&out, window + "_sum", h.window.sum);
+    AppendPromGauge(&out, window + "_p50", h.window.Quantile(0.50));
+    AppendPromGauge(&out, window + "_p99", h.window.Quantile(0.99));
   }
   return out;
 }

@@ -21,9 +21,10 @@
 ///     so every equivalence test passes bit-identically with telemetry on.
 ///  2. Cheap enough to leave on (<2% wall-clock budget, enforced by
 ///     scripts/check_overhead.sh at <5%): counters are lock-free relaxed
-///     atomics striped over per-thread shards, spans cost two clock reads
-///     plus one uncontended per-thread mutex, and everything expensive
-///     (aggregation, JSON export) happens at snapshot time.
+///     atomics striped over per-thread shards (each Add also reads the
+///     steady clock to find its one-second window slot), spans cost two
+///     clock reads plus one uncontended per-thread mutex, and everything
+///     expensive (aggregation, JSON export) happens at snapshot time.
 ///  3. Compile-out path: configuring with -DSSIN_TELEMETRY=OFF defines
 ///     SSIN_TELEMETRY_DISABLED, which turns SSIN_TRACE_SPAN into a no-op
 ///     and pins Enabled() to a constexpr false so Enabled()-guarded probes
@@ -31,6 +32,11 @@
 ///     components (e.g. the serving LayoutCache) use Counter as their
 ///     always-on statistics API, and the report writers must keep working
 ///     in disabled builds (they then export metrics with no spans).
+///
+/// One counter type and one histogram type, both windowed: every Counter
+/// and every WindowedHistogram keeps its lifetime aggregate plus a view of
+/// the trailing kWindowSeconds (60 s), and exports both. Bucket bounds,
+/// reservoir sizes and the window length are constants, not options.
 ///
 /// Runtime model: recording is gated by a single process-wide flag
 /// (SetEnabled). TrainConfig::telemetry and EvalOptions::telemetry switch
@@ -76,24 +82,47 @@ constexpr int kShards = 16;
 /// Sticky shard index of the calling thread, in [0, kShards).
 int ThreadShardIndex();
 
-/// Monotonic event counter. Add() is lock-free (one relaxed fetch_add on
-/// this thread's shard); Value() sums the shards.
+/// Length of the trailing window every counter and histogram keeps, in
+/// seconds.
+constexpr int kWindowSeconds = 60;
+
+/// Ring slots per shard: one per second of the window plus slack, so a
+/// slot being recycled is never also in-window.
+constexpr int kWindowSlots = kWindowSeconds + 2;
+
+/// Monotonic event counter with a lifetime total and a trailing-window
+/// total, the latter kept as a per-shard ring of one-second slots merged
+/// on read. Add() is lock-free: one relaxed fetch_add on this thread's
+/// lifetime cell plus one on the current second's slot, found by one
+/// steady-clock read. Slots recycle by epoch exchange; because shard
+/// indices are sticky per thread, two threads race a recycle only past
+/// kShards concurrent writers, and even then only increments landing in
+/// the same instant a stale slot turns over can be misattributed — the
+/// lifetime total is always exact.
+///
+/// Registered counters come from MetricsRegistry::GetCounter and are
+/// exported; a directly constructed one is a private statistic (e.g. one
+/// server's own request counts) that no report sees.
 class Counter {
  public:
-  void Add(int64_t delta = 1) {
-    shards_[ThreadShardIndex()].value.fetch_add(delta,
-                                                std::memory_order_relaxed);
-  }
-  int64_t Value() const;
+  explicit Counter(std::string name = {}) : name_(std::move(name)) {}
+
+  void Add(int64_t delta = 1);
+  int64_t Value() const;        ///< Lifetime total (exact).
+  int64_t WindowValue() const;  ///< Total over the trailing window.
+  void Reset();
   const std::string& name() const { return name_; }
 
  private:
-  friend class MetricsRegistry;
-  explicit Counter(std::string name) : name_(std::move(name)) {}
-
-  struct alignas(64) Shard {
+  struct Slot {
+    std::atomic<int64_t> epoch{-1};  ///< Second this slot currently holds.
     std::atomic<int64_t> value{0};
   };
+  struct alignas(64) Shard {
+    std::atomic<int64_t> lifetime{0};
+    Slot slots[kWindowSlots];
+  };
+
   std::string name_;
   Shard shards_[kShards];
 };
@@ -118,23 +147,6 @@ class Gauge {
   std::atomic<uint64_t> bits_{0};  // 0 bits == 0.0.
 };
 
-struct HistogramOptions {
-  /// Ascending fixed bucket upper bounds; an implicit +inf overflow bucket
-  /// is appended. Empty selects the default 1-2-5 log series spanning
-  /// 1e-9 .. 1e9 (fits nanosecond-to-second latencies and typical scalar
-  /// statistics alike).
-  std::vector<double> bucket_bounds;
-  /// Per-shard streaming-quantile reservoir size. Quantiles are *exact*
-  /// while every shard has seen at most this many samples; beyond that the
-  /// shard switches to uniform reservoir subsampling (deterministic
-  /// per-shard splitmix64 stream) and quantiles become estimates.
-  size_t reservoir_capacity = 4096;
-  /// Per-(shard, second) reservoir size for WindowedHistogram's ring cells.
-  /// Smaller than the lifetime reservoir because each cell covers at most
-  /// one second of observations.
-  size_t window_reservoir_capacity = 1024;
-};
-
 /// Aggregated view of one histogram at snapshot time.
 struct HistogramSnapshot {
   std::string name;
@@ -149,28 +161,26 @@ struct HistogramSnapshot {
   double mean() const { return count > 0 ? sum / count : 0.0; }
   /// Linear-interpolated quantile of the retained samples, q in [0, 1].
   /// Exact (equals the same formula applied to all observations) while no
-  /// shard overflowed its reservoir.
+  /// reservoir overflowed.
   double Quantile(double q) const;
 };
 
 namespace internal {
 
-/// One fixed-bucket + reservoir accumulation cell — the state shared by
-/// Histogram (one per shard) and WindowedHistogram (one lifetime cell per
-/// shard plus one per ring slot). Callers synchronize via the owning
-/// shard's mutex; the cell itself is plain data. `buckets` is sized lazily
-/// on first Observe so idle window cells cost no memory.
+/// One fixed-bucket + reservoir accumulation cell: a histogram shard's
+/// lifetime cell or one of its one-second ring cells. Callers synchronize
+/// via the owning shard's mutex; the cell itself is plain data. `buckets`
+/// is sized lazily on first Observe so idle window cells cost no memory.
 struct HistogramCell {
   int64_t count = 0;
   double sum = 0.0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
-  std::vector<int64_t> buckets;  ///< bounds.size() + 1 once populated.
+  std::vector<int64_t> buckets;  ///< Bucket bounds + 1 once populated.
   std::vector<double> reservoir;
   uint64_t rng = 0;  ///< splitmix64 state for reservoir replacement.
 
-  void Observe(double value, const std::vector<double>& bounds,
-               size_t reservoir_capacity);
+  void Observe(double value, size_t capacity);
   /// Adds this cell into `snap` (bucket_counts must already be sized).
   void MergeInto(HistogramSnapshot* snap) const;
   void Reset();
@@ -178,92 +188,35 @@ struct HistogramCell {
 
 }  // namespace internal
 
-/// Fixed-bucket + streaming-quantile histogram. Observe() takes one
-/// uncontended per-shard mutex (threads own distinct shards up to kShards);
-/// Snapshot() merges the shards.
-class Histogram {
- public:
-  void Observe(double value);
-  HistogramSnapshot Snapshot() const;
-  void Reset();
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  Histogram(std::string name, const HistogramOptions& options);
-
-  struct Shard {
-    mutable std::mutex mu;
-    internal::HistogramCell cell;
-  };
-
-  std::string name_;
-  std::vector<double> bounds_;
-  size_t reservoir_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-// ---------------------------------------------------------------------------
-// Trailing-window metrics.
-
-/// Default trailing-window length for the Windowed* metrics, in seconds.
-constexpr int kDefaultWindowSeconds = 60;
-
-/// Counter that tracks a lifetime total plus a trailing-window total kept
-/// as a per-shard ring of one-second buckets merged on read. Add() stays
-/// lock-free: one relaxed fetch_add on the lifetime cell plus one on the
-/// current second's slot. Slots recycle by epoch exchange; because shard
-/// indices are sticky per thread, two threads race a recycle only past
-/// kShards concurrent writers, and even then only increments landing in
-/// the same instant a 60s-stale slot turns over can be misattributed — the
-/// lifetime total is always exact.
-class WindowedCounter {
- public:
-  void Add(int64_t delta = 1);
-  int64_t Value() const;        ///< Lifetime total (exact).
-  int64_t WindowValue() const;  ///< Total over the trailing window.
-  void Reset();
-  int window_seconds() const { return window_seconds_; }
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  WindowedCounter(std::string name, int window_seconds);
-
-  struct Slot {
-    std::atomic<int64_t> epoch{-1};  ///< Second this slot currently holds.
-    std::atomic<int64_t> value{0};
-  };
-  struct alignas(64) Shard {
-    std::atomic<int64_t> lifetime{0};
-    std::unique_ptr<Slot[]> slots;  ///< num_slots_ entries.
-  };
-
-  std::string name_;
-  int window_seconds_;
-  int num_slots_;
-  Shard shards_[kShards];
-};
-
-/// Histogram that additionally maintains a trailing-window view as a
-/// per-shard ring of one-second cells. Observe() takes the same single
-/// uncontended per-shard mutex as Histogram (one extra cell update under
-/// the lock); WindowSnapshot() merges the in-window cells of every shard.
-/// Window quantiles are exact under the same condition as lifetime ones:
-/// no (shard, second) cell overflowed window_reservoir_capacity.
+/// Fixed-bucket + streaming-quantile histogram with a lifetime view and a
+/// trailing-window view. Buckets are the 1-2-5 log series over 1e-9 ..
+/// 1e9 with inclusive upper bounds (Prometheus "le" semantics), which fits
+/// nanosecond-to-second latencies and typical scalar statistics alike.
+/// Each shard keeps a lifetime cell plus a ring of one-second cells; a
+/// thread's Observe() takes its shard's uncontended mutex and updates the
+/// lifetime cell and the current second's cell. Snapshot() merges the
+/// lifetime cells, WindowSnapshot() the in-window ring cells.
+///
+/// Quantiles come from per-cell reservoirs: kReservoirCapacity samples per
+/// lifetime cell, kWindowReservoirCapacity per (shard, second) cell. They
+/// are exact while no cell overflowed its reservoir; beyond that the cell
+/// switches to uniform reservoir subsampling (deterministic per-cell
+/// splitmix64 stream) and quantiles become estimates. count, sum, min, max
+/// and buckets stay exact.
 class WindowedHistogram {
  public:
+  static constexpr size_t kReservoirCapacity = 4096;
+  static constexpr size_t kWindowReservoirCapacity = 1024;
+
   void Observe(double value);
   HistogramSnapshot Snapshot() const;        ///< Lifetime view.
   HistogramSnapshot WindowSnapshot() const;  ///< Trailing-window view.
   void Reset();
-  int window_seconds() const { return window_seconds_; }
   const std::string& name() const { return name_; }
 
  private:
   friend class MetricsRegistry;
-  WindowedHistogram(std::string name, const HistogramOptions& options,
-                    int window_seconds);
+  explicit WindowedHistogram(std::string name);
 
   struct Slot {
     int64_t epoch = -1;  ///< Second this slot currently holds.
@@ -272,42 +225,28 @@ class WindowedHistogram {
   struct Shard {
     mutable std::mutex mu;
     internal::HistogramCell lifetime;
-    std::vector<Slot> slots;  ///< num_slots_ entries.
+    Slot slots[kWindowSlots];
   };
 
   std::string name_;
-  std::vector<double> bounds_;
-  size_t reservoir_capacity_;
-  size_t window_reservoir_capacity_;
-  int window_seconds_;
-  int num_slots_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  Shard shards_[kShards];
 };
 
 /// Point-in-time aggregate of every registered metric, ordered by name.
 struct MetricsSnapshot {
-  struct WindowedCounterSnapshot {
+  struct CounterEntry {
     std::string name;
-    int window_seconds = 0;
     int64_t lifetime = 0;
     int64_t window = 0;
   };
-  struct WindowedHistogramSnapshot {
-    int window_seconds = 0;
+  struct HistogramEntry {
     HistogramSnapshot lifetime;  ///< .name carries the metric name.
     HistogramSnapshot window;
   };
 
-  std::vector<std::pair<std::string, int64_t>> counters;
+  std::vector<CounterEntry> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSnapshot> histograms;
-  std::vector<WindowedCounterSnapshot> windowed_counters;
-  std::vector<WindowedHistogramSnapshot> windowed_histograms;
-
-  /// Writes "counters"/"gauges"/"histograms" (windowed lifetimes folded
-  /// into those) plus a "windows" member with the trailing-window views
-  /// into the writer's currently open JSON object.
-  void WriteJson(JsonWriter* writer) const;
+  std::vector<HistogramEntry> histograms;
 };
 
 /// Process-wide, thread-safe metric registry. Get* registers on first use
@@ -321,13 +260,7 @@ class MetricsRegistry {
 
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  Histogram* GetHistogram(const std::string& name,
-                          const HistogramOptions& options = {});
-  WindowedCounter* GetWindowedCounter(
-      const std::string& name, int window_seconds = kDefaultWindowSeconds);
-  WindowedHistogram* GetWindowedHistogram(
-      const std::string& name, const HistogramOptions& options = {},
-      int window_seconds = kDefaultWindowSeconds);
+  WindowedHistogram* GetWindowedHistogram(const std::string& name);
 
   MetricsSnapshot Snapshot() const;
 
@@ -342,9 +275,7 @@ class MetricsRegistry {
   // Deterministically ordered so snapshots/exports are stable.
   std::vector<std::unique_ptr<Counter>> counters_;
   std::vector<std::unique_ptr<Gauge>> gauges_;
-  std::vector<std::unique_ptr<Histogram>> histograms_;
-  std::vector<std::unique_ptr<WindowedCounter>> windowed_counters_;
-  std::vector<std::unique_ptr<WindowedHistogram>> windowed_histograms_;
+  std::vector<std::unique_ptr<WindowedHistogram>> histograms_;
 };
 
 /// Shorthands for the global registry.
@@ -354,19 +285,8 @@ inline Counter* GetCounter(const std::string& name) {
 inline Gauge* GetGauge(const std::string& name) {
   return MetricsRegistry::Global().GetGauge(name);
 }
-inline Histogram* GetHistogram(const std::string& name,
-                               const HistogramOptions& options = {}) {
-  return MetricsRegistry::Global().GetHistogram(name, options);
-}
-inline WindowedCounter* GetWindowedCounter(
-    const std::string& name, int window_seconds = kDefaultWindowSeconds) {
-  return MetricsRegistry::Global().GetWindowedCounter(name, window_seconds);
-}
-inline WindowedHistogram* GetWindowedHistogram(
-    const std::string& name, const HistogramOptions& options = {},
-    int window_seconds = kDefaultWindowSeconds) {
-  return MetricsRegistry::Global().GetWindowedHistogram(name, options,
-                                                        window_seconds);
+inline WindowedHistogram* GetWindowedHistogram(const std::string& name) {
+  return MetricsRegistry::Global().GetWindowedHistogram(name);
 }
 
 // ---------------------------------------------------------------------------
@@ -531,7 +451,8 @@ class ScopedTrace {
 constexpr int kTelemetryVersion = 1;
 
 /// Writes a versioned snapshot object — {"telemetry_version": 1, counters,
-/// gauges, histograms, spans} — as the *value* following an open Key().
+/// gauges, histograms (lifetime views), windows (trailing-window views),
+/// spans} — as the *value* following an open Key().
 /// Used by the benches to embed telemetry into their BENCH_*.json files.
 void WriteSnapshotJson(JsonWriter* writer);
 
@@ -545,13 +466,13 @@ std::string ReportJson(const std::string& kind);
 bool WriteReport(const std::string& kind, const std::string& path);
 
 /// Prometheus text exposition (format version 0.0.4) of every registered
-/// metric: counters (and windowed-counter lifetimes) as `counter`, gauges
-/// as `gauge`, histograms (and windowed-histogram lifetimes) as
-/// `histogram` with cumulative `le` buckets plus `_sum`/`_count`.
-/// Trailing-window views export as gauges with a `_last<window>s` suffix
-/// (`..._last60s` for counters; `..._last60s_count/_sum/_p50/_p99` for
-/// histograms). Metric names are prefixed `ssin_` and sanitized — every
-/// byte outside [a-zA-Z0-9_:] becomes '_'.
+/// metric: counter lifetimes as `counter`, gauges as `gauge`, histogram
+/// lifetimes as `histogram` with cumulative `le` buckets plus
+/// `_sum`/`_count`. Every counter's and histogram's trailing window also
+/// exports as gauges with a `_last60s` suffix (`..._last60s` for
+/// counters; `..._last60s_count/_sum/_p50/_p99` for histograms). Names
+/// are prefixed `ssin_` and sanitized — every byte outside [a-zA-Z0-9_:]
+/// becomes '_'.
 std::string PrometheusText();
 
 /// Writes PrometheusText() to `path`. Returns false on IO failure.

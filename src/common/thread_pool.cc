@@ -53,9 +53,9 @@ telemetry::Counter* WorkerNsCounter() {
   return counter;
 }
 
-telemetry::Histogram* QueueWaitHistogram() {
-  static telemetry::Histogram* histogram =
-      telemetry::GetHistogram("thread_pool.queue_wait_us");
+telemetry::WindowedHistogram* QueueWaitHistogram() {
+  static telemetry::WindowedHistogram* histogram =
+      telemetry::GetWindowedHistogram("thread_pool.queue_wait_us");
   return histogram;
 }
 

@@ -14,9 +14,9 @@ namespace ssin {
 
 namespace {
 
-telemetry::Histogram* PredictLatencyHistogram() {
-  static telemetry::Histogram* histogram =
-      telemetry::GetHistogram("serve.predict_us");
+telemetry::WindowedHistogram* PredictLatencyHistogram() {
+  static telemetry::WindowedHistogram* histogram =
+      telemetry::GetWindowedHistogram("serve.predict_us");
   return histogram;
 }
 

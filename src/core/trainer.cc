@@ -38,15 +38,15 @@ telemetry::Counter* MaskedNodesCounter() {
   return counter;
 }
 
-telemetry::Histogram* GradNormHistogram() {
-  static telemetry::Histogram* histogram =
-      telemetry::GetHistogram("train.grad_norm");
+telemetry::WindowedHistogram* GradNormHistogram() {
+  static telemetry::WindowedHistogram* histogram =
+      telemetry::GetWindowedHistogram("train.grad_norm");
   return histogram;
 }
 
-telemetry::Histogram* CheckpointSecondsHistogram() {
-  static telemetry::Histogram* histogram =
-      telemetry::GetHistogram("train.checkpoint_write_seconds");
+telemetry::WindowedHistogram* CheckpointSecondsHistogram() {
+  static telemetry::WindowedHistogram* histogram =
+      telemetry::GetWindowedHistogram("train.checkpoint_write_seconds");
   return histogram;
 }
 

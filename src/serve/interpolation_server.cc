@@ -13,21 +13,21 @@ namespace serve {
 
 namespace {
 
-telemetry::WindowedCounter* RequestsCounter() {
-  static telemetry::WindowedCounter* counter =
-      telemetry::GetWindowedCounter("serve.requests_total");
+telemetry::Counter* RequestsCounter() {
+  static telemetry::Counter* counter =
+      telemetry::GetCounter("serve.requests_total");
   return counter;
 }
 
-telemetry::WindowedCounter* RejectedCounter() {
-  static telemetry::WindowedCounter* counter =
-      telemetry::GetWindowedCounter("serve.rejected_total");
+telemetry::Counter* RejectedCounter() {
+  static telemetry::Counter* counter =
+      telemetry::GetCounter("serve.rejected_total");
   return counter;
 }
 
-telemetry::WindowedCounter* BatchesCounter() {
-  static telemetry::WindowedCounter* counter =
-      telemetry::GetWindowedCounter("serve.batches_total");
+telemetry::Counter* BatchesCounter() {
+  static telemetry::Counter* counter =
+      telemetry::GetCounter("serve.batches_total");
   return counter;
 }
 
@@ -102,7 +102,7 @@ SubmitStatus InterpolationServer::Submit(
   std::shared_ptr<SsinInterpolator> model = registry_.Acquire(request.model);
   if (model == nullptr) {
     RejectedCounter()->Add(1);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    rejected_.Add(1);
     return SubmitStatus::kUnknownModel;
   }
   const std::string error =
@@ -110,7 +110,7 @@ SubmitStatus InterpolationServer::Submit(
                             request.observed_ids, request.query_ids);
   if (!error.empty()) {
     RejectedCounter()->Add(1);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    rejected_.Add(1);
     return SubmitStatus::kInvalidRequest;
   }
 
@@ -121,11 +121,11 @@ SubmitStatus InterpolationServer::Submit(
   std::future<std::vector<double>> future = item.promise.get_future();
   if (!queue_.TryPush(&item)) {
     RejectedCounter()->Add(1);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    rejected_.Add(1);
     return queue_.closed() ? SubmitStatus::kShutdown
                            : SubmitStatus::kQueueFull;
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
+  accepted_.Add(1);
   RequestsCounter()->Add(1);
   *result = std::move(future);
   return SubmitStatus::kAccepted;
@@ -238,7 +238,7 @@ void InterpolationServer::DispatchGroup(
   } catch (...) {
     fail_all(std::current_exception());
   }
-  batches_.fetch_add(1, std::memory_order_relaxed);
+  batches_.Add(1);
   BatchesCounter()->Add(1);
   BatchSizeHistogram()->Observe(static_cast<double>(group.size()));
   telemetry::WindowedHistogram* latency = LatencyHistogramFor(head.model);
@@ -273,7 +273,7 @@ InterpolationServer::ModelSlo InterpolationServer::Slo(
     slo.p99_us = snapshot.Quantile(0.99);
     slo.max_us = snapshot.max;
   }
-  slo.window_seconds = histogram->window_seconds();
+  slo.window_seconds = telemetry::kWindowSeconds;
   slo.window_requests = window.count;
   if (window.count > 0) {
     slo.window_p50_us = window.Quantile(0.5);
@@ -286,14 +286,6 @@ InterpolationServer::ModelSlo InterpolationServer::Slo(
 telemetry::HistogramSnapshot InterpolationServer::WindowLatencySnapshot(
     const std::string& model) const {
   return LatencyHistogramFor(model)->WindowSnapshot();
-}
-
-int64_t InterpolationServer::accepted_window() const {
-  return RequestsCounter()->WindowValue();
-}
-
-int64_t InterpolationServer::rejected_window() const {
-  return RejectedCounter()->WindowValue();
 }
 
 }  // namespace serve

@@ -1,7 +1,6 @@
 #ifndef SSIN_SERVE_INTERPOLATION_SERVER_H_
 #define SSIN_SERVE_INTERPOLATION_SERVER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
@@ -66,16 +65,18 @@ const char* SubmitStatusName(SubmitStatus status);
 /// arithmetic.
 ///
 /// Metrics: `serve.queue_depth` (gauge) with `serve.queue_depth_samples`
-/// (windowed histogram of depth at each push/pop), `serve.batch_size`
-/// (windowed histogram of dispatched group sizes), `serve.rejected_total` /
-/// `serve.requests_total` / `serve.batches_total` (windowed counters),
-/// `serve.hot_swaps_total` (registry), `serve.queue_wait_us` (windowed
-/// histogram, enqueue → wave pop), and a per-model end-to-end latency
-/// windowed histogram `serve.request_us.<model>` (enqueue → promise
-/// fulfilled) behind Slo(), which reports both the lifetime and the
-/// last-60s view. These are plain statistics in the sense of
-/// src/common/telemetry.h: they record regardless of the global telemetry
-/// flag.
+/// (histogram of depth at each push/pop), `serve.batch_size` (histogram
+/// of dispatched group sizes), `serve.rejected_total` /
+/// `serve.requests_total` / `serve.batches_total` (counters),
+/// `serve.hot_swaps_total` (registry), `serve.queue_wait_us` (histogram,
+/// enqueue → wave pop), and a per-model end-to-end latency histogram
+/// `serve.request_us.<model>` (enqueue → promise fulfilled) behind Slo(),
+/// which reports both the lifetime and the last-60s view. Every one keeps
+/// a trailing 60 s window next to its lifetime value. These are plain
+/// statistics in the sense of src/common/telemetry.h: they record
+/// regardless of the global telemetry flag. The process-wide series sum
+/// over every server in the process; accepted_window() / rejected_window()
+/// and the *_total() accessors count this server alone.
 ///
 /// Tracing: when telemetry is enabled, Submit assigns each request a trace
 /// id; the `serve.submit`, `serve.queue_wait`, `serve.dispatch`,
@@ -118,8 +119,8 @@ class InterpolationServer {
   void Shutdown();
 
   /// SLO view over the per-model end-to-end latency histogram: the
-  /// lifetime aggregate plus the trailing-window (last window_seconds,
-  /// default 60) view the health monitor samples.
+  /// lifetime aggregate plus the trailing-window (last window_seconds =
+  /// telemetry::kWindowSeconds) view the health monitor samples.
   struct ModelSlo {
     int64_t requests = 0;
     double p50_us = 0.0;
@@ -141,18 +142,14 @@ class InterpolationServer {
 
   const ServerConfig& config() const { return config_; }
 
-  int64_t accepted_total() const {
-    return accepted_.load(std::memory_order_relaxed);
-  }
-  int64_t rejected_total() const {
-    return rejected_.load(std::memory_order_relaxed);
-  }
-  int64_t batches_total() const {
-    return batches_.load(std::memory_order_relaxed);
-  }
-  /// Accepted/rejected totals over the trailing metrics window.
-  int64_t accepted_window() const;
-  int64_t rejected_window() const;
+  /// This server's own request counts (the process-wide `serve.*`
+  /// counters aggregate every server in the process).
+  int64_t accepted_total() const { return accepted_.Value(); }
+  int64_t rejected_total() const { return rejected_.Value(); }
+  int64_t batches_total() const { return batches_.Value(); }
+  /// Accepted/rejected counts of this server over the trailing window.
+  int64_t accepted_window() const { return accepted_.WindowValue(); }
+  int64_t rejected_window() const { return rejected_.WindowValue(); }
   size_t queue_depth() const { return queue_.size(); }
 
  private:
@@ -169,9 +166,10 @@ class InterpolationServer {
   ModelRegistry registry_;
   RequestQueue queue_;
 
-  std::atomic<int64_t> accepted_{0};
-  std::atomic<int64_t> rejected_{0};
-  std::atomic<int64_t> batches_{0};
+  /// Unregistered, so they count this server only.
+  telemetry::Counter accepted_;
+  telemetry::Counter rejected_;
+  telemetry::Counter batches_;
 
   /// Per-model latency histogram pointers (stable; registry-owned).
   mutable std::mutex slo_mu_;

@@ -77,9 +77,11 @@ bool ModelRegistry::Promote(const std::string& name,
   // the weight copy, so Acquire() stays non-blocking throughout.
   std::lock_guard<std::mutex> promote_lock(entry->promote_mu);
   Buffer standby;
+  std::shared_ptr<SsinInterpolator> active;
   {
     std::lock_guard<std::mutex> lock(entry->state_mu);
     standby = entry->standby;
+    active = entry->active.model;
   }
   // The standby was the active model two promotions ago, and a batch
   // dispatched back then may still hold it — copying weights under a
@@ -96,14 +98,33 @@ bool ModelRegistry::Promote(const std::string& name,
   // anything, so a refused candidate leaves the standby untouched and the
   // active model serving. A successful copy invalidates the standby's
   // serving caches (layouts, f32 weight snapshots, arena peak), so
-  // post-swap requests rebuild everything from the promoted weights.
+  // post-swap requests rebuild everything from the promoted weights. The
+  // standby also takes over the active's neighbor limits below, which need
+  // shielded attention: an unshielded standby is refused here instead of
+  // aborting there.
   std::string mismatch;
-  if (!standby.model->CopyParametersFrom(source, &mismatch)) {
+  bool copied = false;
+  const bool limited =
+      active->neighbor_k() > 0 || active->neighbor_radius_km() > 0.0;
+  if (limited && !standby.model->model()->config().shielded) {
+    mismatch = "standby is unshielded but the active model limits neighbors";
+  } else {
+    copied = standby.model->CopyParametersFrom(source, &mismatch);
+  }
+  if (!copied) {
     SSIN_LOG(Warn) << "promote of model '" << name
                    << "' refused, architecture mismatch: " << mismatch;
     PromoteRejectedCounter()->Add(1);
     return false;
   }
+  // A swap changes weights only: the standby serves with the active's
+  // precision, neighbor limits and output clamp, whatever it was
+  // configured with. (The neighbor setters invalidate the standby's
+  // serving caches again only when a value actually changes.)
+  standby.model->set_serving_precision(active->serving_precision());
+  standby.model->SetNeighborK(active->neighbor_k());
+  standby.model->SetNeighborRadius(active->neighbor_radius_km());
+  standby.model->set_non_negative(active->non_negative());
   {
     std::lock_guard<std::mutex> lock(entry->state_mu);
     std::swap(entry->active, entry->standby);

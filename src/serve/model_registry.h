@@ -20,7 +20,8 @@ namespace serve {
 /// one serves traffic, the *standby* one absorbs the next weight
 /// promotion. Promote() copies the source's weights into the standby
 /// (CopyParametersFrom invalidates its serving caches — layouts, f32
-/// snapshots, arena peak — so nothing stale survives), then swaps the two
+/// snapshots, arena peak — so nothing stale survives), aligns the
+/// standby's serving settings with the active's, then swaps the two
 /// shared_ptrs. A batch dispatched before the swap keeps its shared_ptr to
 /// the old active and finishes on the old weights; every Acquire() after
 /// the swap sees the new ones. No request is ever dropped or served by a
@@ -44,12 +45,15 @@ class ModelRegistry {
   std::shared_ptr<SsinInterpolator> Acquire(const std::string& name) const;
 
   /// Zero-drop hot-swap: copies `source`'s weights into `name`'s standby
-  /// buffer and promotes it to active. Waits (bounded spin) until no
-  /// in-flight dispatch still reads the standby from a promotion two swaps
-  /// ago before touching its weights. Returns false for an unknown name,
-  /// and for a `source` whose architecture does not match (or that is not
-  /// prepared): then nothing is copied or swapped, the active model keeps
-  /// serving, the first mismatching parameter is logged and
+  /// buffer, gives the standby the active's serving settings (precision,
+  /// neighbor_k, neighbor_radius_km, non-negative clamp) so a swap changes
+  /// weights only, and promotes it to active. Waits (bounded spin) until
+  /// no in-flight dispatch still reads the standby from a promotion two
+  /// swaps ago before touching its weights. Returns false for an unknown
+  /// name, for a `source` whose architecture does not match (or that is
+  /// not prepared), and for an unshielded standby when the active limits
+  /// neighbors: then nothing is copied or swapped, the active model keeps
+  /// serving, the first mismatch is logged and
   /// `serve.promote_rejected_total` ticks. `source` must be quiescent (not
   /// training) for the duration of the call. Concurrent promotions of the
   /// same model serialize.

@@ -202,8 +202,9 @@ TEST(InferenceEquivalenceTelemetry, TelemetryOnChangesNoPrediction) {
   if (telemetry::CompiledIn()) {
     // The per-call latency histogram saw every prediction of the two
     // enabled sweeps.
-    EXPECT_GE(telemetry::GetHistogram("serve.predict_us")->Snapshot().count,
-              static_cast<int64_t>(2 * batch.size()));
+    EXPECT_GE(
+        telemetry::GetWindowedHistogram("serve.predict_us")->Snapshot().count,
+        static_cast<int64_t>(2 * batch.size()));
   }
 }
 
@@ -556,13 +557,14 @@ TEST(ServingArenaPeak, EmptyQueryStillObservesLatency) {
   // already started.
   telemetry::SetEnabled(true);
   const int64_t count_before =
-      telemetry::GetHistogram("serve.predict_us")->Snapshot().count;
+      telemetry::GetWindowedHistogram("serve.predict_us")->Snapshot().count;
   const std::vector<double> out = ssin.InterpolateTimestamp(
       f.data.Values(0), f.observed_ids, /*query_ids=*/{});
   telemetry::SetEnabled(false);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(telemetry::GetHistogram("serve.predict_us")->Snapshot().count,
-            count_before + 1);
+  EXPECT_EQ(
+      telemetry::GetWindowedHistogram("serve.predict_us")->Snapshot().count,
+      count_before + 1);
 }
 
 // ------------------------------------------------- serving arena bytes

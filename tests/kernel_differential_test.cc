@@ -8,8 +8,8 @@
 // magnitude. The f32 kernels get 1e-5 scaled — float has ~1.2e-7 ULP and
 // the longest reductions here accumulate a few hundred terms. Both
 // policies are deterministic, so the row-split tests demand bit-equality:
-// splitting the row range (what the thread pool does) must not change a
-// single bit.
+// each output row depends only on its own input row, so splitting the row
+// range must not change a single bit.
 
 #include <gtest/gtest.h>
 
@@ -65,8 +65,8 @@ void CheckMatMulAccOnce(int m, int k, int n, double sparsity, Rng* rng) {
   EXPECT_LE(MaxAbsDiff(ref, scalar), tol) << m << "x" << k << "x" << n;
   EXPECT_LE(MaxAbsDiff(ref, vec), tol) << m << "x" << k << "x" << n;
 
-  // Row-split determinism: computing [0,split) and [split,m) separately is
-  // exactly what ForRowBlocks does across threads — must be bit-identical.
+  // Row-split determinism: computing [0,split) and [split,m) in two calls
+  // must be bit-identical to one call over [0,m).
   if (m > 1) {
     const int split = m / 2;
     std::vector<T> split_out = init;

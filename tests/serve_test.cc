@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <map>
 #include <memory>
@@ -297,6 +298,76 @@ TEST(ModelRegistryTest, CopyParametersFromValidatesBeforeCopying) {
   ExpectExactly(target->InterpolateTimestamp(f.data.Values(0),
                                              f.observed_ids, f.query_ids),
                 f.expected_b[0], "after valid copy");
+}
+
+TEST(ModelRegistryTest, PromoteChangesWeightsOnly) {
+  // The active serves f32 with a neighbor cap, a radius cut and the clamp
+  // off; the standby was left at f64 with none of them. A swap must serve
+  // the source's weights under the active's settings, not flip them.
+  using Precision = SsinInterpolator::ServingPrecision;
+  ServeFixture& f = Fixture();
+  auto configure = [](SsinInterpolator* model) {
+    model->set_serving_precision(Precision::kFloat32);
+    model->SetNeighborK(5);
+    model->SetNeighborRadius(20.0);
+    model->set_non_negative(false);
+  };
+  ModelRegistry registry;
+  auto [active, standby] = f.MakeBuffers();
+  configure(active.get());
+  ASSERT_EQ(standby->serving_precision(), Precision::kFloat64);
+  registry.Register("hk", std::move(active), std::move(standby));
+  ASSERT_TRUE(registry.Promote("hk", *f.source_b));
+
+  std::shared_ptr<SsinInterpolator> served = registry.Acquire("hk");
+  EXPECT_EQ(served->serving_precision(), Precision::kFloat32);
+  EXPECT_EQ(served->neighbor_k(), 5);
+  EXPECT_EQ(served->neighbor_radius_km(), 20.0);
+  EXPECT_FALSE(served->non_negative());
+
+  auto [reference, unused] = f.MakeBuffers();
+  ASSERT_TRUE(reference->CopyParametersFrom(*f.source_b));
+  configure(reference.get());
+  int differs_from_f64 = 0;
+  for (int t = 0; t < f.data.num_timestamps(); ++t) {
+    const std::vector<double> got = served->InterpolateTimestamp(
+        f.data.Values(t), f.observed_ids, f.query_ids);
+    const std::vector<double> want = reference->InterpolateTimestamp(
+        f.data.Values(t), f.observed_ids, f.query_ids);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(double)),
+              0)
+        << "timestamp " << t;
+    if (got != f.expected_b[t]) ++differs_from_f64;
+  }
+  // The settings change the answers, so byte equality above is not the
+  // f64 generation-B answer passing by coincidence.
+  EXPECT_GT(differs_from_f64, 0);
+}
+
+TEST(ModelRegistryTest, PromoteRefusesUnshieldedStandbyForLimitedActive) {
+  // Taking over the active's neighbor cap needs a shielded standby; an
+  // unshielded one is refused like an architecture mismatch instead of
+  // aborting the process.
+  ServeFixture& f = Fixture();
+  auto [active, unused] = f.MakeBuffers();
+  active->SetNeighborK(5);
+  SpaFormerConfig unshielded = TinyModel();
+  unshielded.shielded = false;
+  auto standby =
+      std::make_shared<SsinInterpolator>(unshielded, FastTraining(13));
+  standby->Prepare(f.data, f.observed_ids);
+  SsinInterpolator* active_raw = active.get();
+  ModelRegistry registry;
+  registry.Register("hk", std::move(active), std::move(standby));
+  telemetry::Counter* rejected =
+      telemetry::GetCounter("serve.promote_rejected_total");
+  const int64_t rejected_before = rejected->Value();
+  EXPECT_FALSE(registry.Promote("hk", *f.source_b));
+  EXPECT_EQ(rejected->Value(), rejected_before + 1);
+  EXPECT_EQ(registry.promotions(), 0);
+  EXPECT_EQ(registry.Acquire("hk").get(), active_raw);
 }
 
 // -------------------------------------------------- coalescing batcher
@@ -661,7 +732,7 @@ TEST(InterpolationServerTest, SloWindowViewConvergesToLifetime) {
   // ones exactly — bit-equal quantiles, not approximations.
   const InterpolationServer::ModelSlo slo = server.Slo("hk-slo");
   EXPECT_EQ(slo.requests, kRequests);
-  EXPECT_EQ(slo.window_seconds, telemetry::kDefaultWindowSeconds);
+  EXPECT_EQ(slo.window_seconds, telemetry::kWindowSeconds);
   EXPECT_EQ(slo.window_requests, kRequests);
   EXPECT_GT(slo.p99_us, 0.0);
   EXPECT_EQ(slo.window_p50_us, slo.p50_us);
@@ -673,6 +744,43 @@ TEST(InterpolationServerTest, SloWindowViewConvergesToLifetime) {
   const telemetry::HistogramSnapshot window =
       server.WindowLatencySnapshot("hk-slo");
   EXPECT_EQ(window.count, kRequests);
+}
+
+TEST(InterpolationServerTest, WindowCountsArePerServer) {
+  // No registry reset: the process-wide serve.* counters carry every
+  // earlier test's traffic and server B's rejects, but a server's own
+  // window counts, and so its health, see only its own traffic.
+  ServeFixture& f = Fixture();
+  InterpolationServer server_a;
+  InterpolationServer server_b;
+  auto [active, standby] = f.MakeBuffers();
+  server_a.registry().Register("hk-a", std::move(active), std::move(standby));
+  ExpectExactly(server_a.Interpolate(f.RequestFor(0, "hk-a")),
+                f.expected_a[0], "server A");
+
+  telemetry::Counter* process_rejected =
+      telemetry::GetCounter("serve.rejected_total");
+  const int64_t process_rejected_before = process_rejected->Value();
+  for (int i = 0; i < 10; ++i) {
+    std::future<std::vector<double>> refused;
+    ASSERT_EQ(server_b.Submit(f.RequestFor(0, "no-such-model"), &refused),
+              SubmitStatus::kUnknownModel);
+  }
+  EXPECT_EQ(process_rejected->Value(), process_rejected_before + 10);
+  EXPECT_EQ(server_b.rejected_window(), 10);
+  EXPECT_EQ(server_b.rejected_total(), 10);
+  EXPECT_EQ(server_b.accepted_window(), 0);
+
+  EXPECT_EQ(server_a.rejected_window(), 0);
+  EXPECT_EQ(server_a.rejected_total(), 0);
+  EXPECT_EQ(server_a.accepted_window(), 1);
+  HealthMonitor monitor_a(&server_a);
+  const ServerStatus status_a = monitor_a.Evaluate();
+  EXPECT_EQ(status_a.window_rejected, 0);
+  EXPECT_EQ(status_a.shed_ratio, 0.0);
+  EXPECT_EQ(status_a.state, HealthState::kHealthy);
+  HealthMonitor monitor_b(&server_b);
+  EXPECT_EQ(monitor_b.Evaluate().state, HealthState::kShedding);
 }
 
 // ---------------------------------------------------- request tracing

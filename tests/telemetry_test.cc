@@ -27,7 +27,7 @@ namespace {
 
 using telemetry::GetCounter;
 using telemetry::GetGauge;
-using telemetry::GetHistogram;
+using telemetry::GetWindowedHistogram;
 using telemetry::HistogramSnapshot;
 
 // ---------------------------------------------------------------------------
@@ -183,16 +183,34 @@ class TelemetryTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 // Metrics.
 
-TEST_F(TelemetryTest, CounterAddsAndResets) {
+TEST_F(TelemetryTest, CounterTracksLifetimeAndWindowAndResets) {
   telemetry::Counter* counter = GetCounter("test.counter");
   EXPECT_EQ(counter->Value(), 0);
+  EXPECT_EQ(counter->WindowValue(), 0);
   counter->Add();
   counter->Add(41);
   EXPECT_EQ(counter->Value(), 42);
+  // Every add landed inside the trailing window, so both views agree.
+  EXPECT_EQ(counter->WindowValue(), 42);
   // Same name -> same counter.
   EXPECT_EQ(GetCounter("test.counter"), counter);
   telemetry::MetricsRegistry::Global().Reset();
   EXPECT_EQ(counter->Value(), 0);
+  EXPECT_EQ(counter->WindowValue(), 0);
+}
+
+TEST_F(TelemetryTest, UnregisteredCounterStaysOutOfTheRegistry) {
+  // A directly constructed counter is a private statistic: it counts and
+  // windows like a registered one, but no snapshot or report sees it.
+  telemetry::Counter local("test.unregistered");
+  local.Add(7);
+  EXPECT_EQ(local.Value(), 7);
+  EXPECT_EQ(local.WindowValue(), 7);
+  for (const auto& c : telemetry::MetricsRegistry::Global().Snapshot()
+                           .counters) {
+    EXPECT_NE(c.name, "test.unregistered");
+  }
+  EXPECT_EQ(GetCounter("test.unregistered")->Value(), 0);
 }
 
 TEST_F(TelemetryTest, CounterRecordsEvenWhenRuntimeDisabled) {
@@ -213,29 +231,45 @@ TEST_F(TelemetryTest, GaugeLastWriteWins) {
 }
 
 TEST_F(TelemetryTest, HistogramCountsSumAndBuckets) {
-  telemetry::HistogramOptions options;
-  options.bucket_bounds = {1.0, 10.0, 100.0};
-  telemetry::Histogram* histogram =
-      GetHistogram("test.histogram_buckets", options);
-  for (double v : {0.5, 1.0, 5.0, 50.0, 500.0, 5000.0}) {
+  telemetry::WindowedHistogram* histogram =
+      GetWindowedHistogram("test.histogram_buckets");
+  for (double v : {0.7, 1.0, 1.5, 2.0, 50.0, 1e10}) {
     histogram->Observe(v);
   }
   const HistogramSnapshot snap = histogram->Snapshot();
   EXPECT_EQ(snap.count, 6);
-  EXPECT_NEAR(snap.sum, 5556.5, 1e-9);
-  EXPECT_EQ(snap.min, 0.5);
-  EXPECT_EQ(snap.max, 5000.0);
-  ASSERT_EQ(snap.bucket_counts.size(), 4u);  // 3 bounds + overflow.
-  EXPECT_EQ(snap.bucket_counts[0], 2);       // 0.5, 1.0 (<= 1).
-  EXPECT_EQ(snap.bucket_counts[1], 1);       // 5.0.
-  EXPECT_EQ(snap.bucket_counts[2], 1);       // 50.0.
-  EXPECT_EQ(snap.bucket_counts[3], 2);       // 500, 5000 (overflow).
+  EXPECT_NEAR(snap.sum, 1e10 + 55.2, 1e-3);
+  EXPECT_EQ(snap.min, 0.7);
+  EXPECT_EQ(snap.max, 1e10);
+  // The 1-2-5 series over 1e-9 .. 1e9: 19 decades x 3 bounds, ascending,
+  // plus the +inf overflow bucket.
+  ASSERT_EQ(snap.bucket_bounds.size(), 57u);
+  ASSERT_EQ(snap.bucket_counts.size(), 58u);
+  EXPECT_DOUBLE_EQ(snap.bucket_bounds.front(), 1e-9);
+  EXPECT_DOUBLE_EQ(snap.bucket_bounds.back(), 5e9);
+  EXPECT_TRUE(std::is_sorted(snap.bucket_bounds.begin(),
+                             snap.bucket_bounds.end()));
+  auto count_at = [&snap](double bound) {
+    const size_t b = std::lower_bound(snap.bucket_bounds.begin(),
+                                      snap.bucket_bounds.end(), bound) -
+                     snap.bucket_bounds.begin();
+    EXPECT_DOUBLE_EQ(snap.bucket_bounds[b], bound);
+    return snap.bucket_counts[b];
+  };
+  // Upper bounds are inclusive (Prometheus "le"): 1.0 lands in le=1 and
+  // 2.0 in le=2.
+  EXPECT_EQ(count_at(1.0), 2);   // 0.7, 1.0.
+  EXPECT_EQ(count_at(2.0), 2);   // 1.5, 2.0.
+  EXPECT_EQ(count_at(5.0), 0);
+  EXPECT_EQ(count_at(50.0), 1);  // 50.0.
+  EXPECT_EQ(snap.bucket_counts.back(), 1);  // 1e10 overflows.
 }
 
 TEST_F(TelemetryTest, QuantilesExactAgainstSortedReference) {
   // Below the reservoir capacity the quantiles are exact: identical (to
   // 1e-9) to the linear-interpolation formula on the full sorted sample.
-  telemetry::Histogram* histogram = GetHistogram("test.histogram_quantiles");
+  telemetry::WindowedHistogram* histogram =
+      GetWindowedHistogram("test.histogram_quantiles");
   std::vector<double> values;
   uint64_t state = 12345;
   for (int i = 0; i < 1000; ++i) {
@@ -265,27 +299,39 @@ TEST_F(TelemetryTest, QuantilesExactAgainstSortedReference) {
 }
 
 TEST_F(TelemetryTest, ReservoirSubsamplingKeepsCountExact) {
-  telemetry::HistogramOptions options;
-  options.reservoir_capacity = 64;
-  telemetry::Histogram* histogram =
-      GetHistogram("test.histogram_overflow", options);
+  // One thread, one shard: 10000 observations overflow the 4096-sample
+  // lifetime reservoir and every 1024-sample one-second window cell.
+  constexpr size_t kCapacity =
+      telemetry::WindowedHistogram::kReservoirCapacity;
+  constexpr size_t kWindowCapacity =
+      telemetry::WindowedHistogram::kWindowReservoirCapacity;
+  telemetry::WindowedHistogram* histogram =
+      GetWindowedHistogram("test.histogram_overflow");
   for (int i = 0; i < 10000; ++i) histogram->Observe(static_cast<double>(i));
   const HistogramSnapshot snap = histogram->Snapshot();
   EXPECT_EQ(snap.count, 10000);  // count/sum/min/max stay exact.
   EXPECT_EQ(snap.min, 0.0);
   EXPECT_EQ(snap.max, 9999.0);
-  EXPECT_LE(snap.samples.size(), 64u);  // One shard overflowed at 64.
+  EXPECT_EQ(snap.samples.size(), kCapacity);  // Full, never beyond.
   // Quantiles remain plausible estimates of the uniform ramp.
   EXPECT_GE(snap.Quantile(0.5), 0.0);
   EXPECT_LE(snap.Quantile(0.5), 9999.0);
+  // The burst spans at most two seconds, so at most two window cells.
+  const HistogramSnapshot window = histogram->WindowSnapshot();
+  EXPECT_EQ(window.count, 10000);
+  EXPECT_GE(window.samples.size(), kWindowCapacity);
+  EXPECT_LE(window.samples.size(), 2 * kWindowCapacity);
 }
 
 TEST_F(TelemetryTest, ShardAggregationUnderThreadPool) {
   // Hammer one counter and one histogram from a pool; per-thread shards
-  // must aggregate without losing a single event. Run under TSan via
-  // scripts/run_tsan.sh.
+  // must aggregate without losing a single event, and — since the whole
+  // burst fits inside the window and no ring slot can recycle in
+  // milliseconds — the window totals must match the lifetime ones. Run
+  // under TSan via scripts/run_tsan.sh.
   telemetry::Counter* counter = GetCounter("test.mt_counter");
-  telemetry::Histogram* histogram = GetHistogram("test.mt_histogram");
+  telemetry::WindowedHistogram* histogram =
+      GetWindowedHistogram("test.mt_histogram");
   telemetry::Gauge* gauge = GetGauge("test.mt_gauge");
   constexpr int64_t kItems = 20000;
   ThreadPool pool(4);
@@ -295,10 +341,15 @@ TEST_F(TelemetryTest, ShardAggregationUnderThreadPool) {
     gauge->Set(static_cast<double>(slot));
   });
   EXPECT_EQ(counter->Value(), kItems);
+  EXPECT_EQ(counter->WindowValue(), kItems);
   const HistogramSnapshot snap = histogram->Snapshot();
+  const HistogramSnapshot window = histogram->WindowSnapshot();
   EXPECT_EQ(snap.count, kItems);
   EXPECT_EQ(snap.min, 0.0);
   EXPECT_EQ(snap.max, 99.0);
+  EXPECT_EQ(window.count, kItems);
+  EXPECT_EQ(window.min, 0.0);
+  EXPECT_EQ(window.max, 99.0);
   EXPECT_GE(gauge->Value(), 0.0);
   EXPECT_LE(gauge->Value(), 3.0);
 }
@@ -311,7 +362,7 @@ TEST_F(TelemetryTest, SnapshotOrdersMetricsByName) {
       telemetry::MetricsRegistry::Global().Snapshot();
   ASSERT_GE(snap.counters.size(), 3u);
   for (size_t i = 1; i < snap.counters.size(); ++i) {
-    EXPECT_LT(snap.counters[i - 1].first, snap.counters[i].first);
+    EXPECT_LT(snap.counters[i - 1].name, snap.counters[i].name);
   }
 }
 
@@ -319,7 +370,8 @@ TEST_F(TelemetryTest, SnapshotOrdersMetricsByName) {
 // Quantile edge cases.
 
 TEST_F(TelemetryTest, QuantileOfEmptySnapshotIsZero) {
-  const HistogramSnapshot snap = GetHistogram("test.empty_hist")->Snapshot();
+  const HistogramSnapshot snap =
+      GetWindowedHistogram("test.empty_hist")->Snapshot();
   EXPECT_EQ(snap.count, 0);
   for (double q : {0.0, 0.5, 0.99, 1.0}) {
     EXPECT_EQ(snap.Quantile(q), 0.0) << "q=" << q;
@@ -327,7 +379,8 @@ TEST_F(TelemetryTest, QuantileOfEmptySnapshotIsZero) {
 }
 
 TEST_F(TelemetryTest, QuantileOfSingleSampleIsThatSample) {
-  telemetry::Histogram* histogram = GetHistogram("test.single_hist");
+  telemetry::WindowedHistogram* histogram =
+      GetWindowedHistogram("test.single_hist");
   histogram->Observe(42.5);
   const HistogramSnapshot snap = histogram->Snapshot();
   ASSERT_EQ(snap.count, 1);
@@ -342,15 +395,15 @@ TEST_F(TelemetryTest, QuantileOfSingleSampleIsThatSample) {
 TEST_F(TelemetryTest, QuantileBeyondReservoirCapacityStaysMonotoneInRange) {
   // Once count outruns the reservoir the quantiles are estimates, but they
   // must stay monotone in q and inside the observed [min, max] range.
-  telemetry::HistogramOptions options;
-  options.reservoir_capacity = 32;
-  telemetry::Histogram* histogram =
-      GetHistogram("test.overflow_quantile", options);
-  for (int i = 0; i < 5000; ++i) histogram->Observe(static_cast<double>(i));
+  // One thread observes past the 4096-sample lifetime reservoir.
+  telemetry::WindowedHistogram* histogram =
+      GetWindowedHistogram("test.overflow_quantile");
+  for (int i = 0; i < 10000; ++i) histogram->Observe(static_cast<double>(i));
   const HistogramSnapshot snap = histogram->Snapshot();
-  EXPECT_EQ(snap.count, 5000);
+  EXPECT_EQ(snap.count, 10000);
   ASSERT_GT(snap.samples.size(), 0u);
-  EXPECT_LE(snap.samples.size(), 32u);
+  EXPECT_LE(snap.samples.size(),
+            telemetry::WindowedHistogram::kReservoirCapacity);
   double prev = snap.Quantile(0.0);
   for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
     const double cur = snap.Quantile(q);
@@ -363,24 +416,6 @@ TEST_F(TelemetryTest, QuantileBeyondReservoirCapacityStaysMonotoneInRange) {
 
 // ---------------------------------------------------------------------------
 // Windowed metrics.
-
-TEST_F(TelemetryTest, WindowedCounterTracksLifetimeAndWindow) {
-  telemetry::WindowedCounter* counter =
-      telemetry::GetWindowedCounter("test.windowed_counter");
-  EXPECT_EQ(counter->Value(), 0);
-  EXPECT_EQ(counter->WindowValue(), 0);
-  counter->Add(5);
-  counter->Add(7);
-  EXPECT_EQ(counter->Value(), 12);
-  // Every add landed inside the trailing window, so both views agree.
-  EXPECT_EQ(counter->WindowValue(), 12);
-  EXPECT_EQ(counter->window_seconds(), telemetry::kDefaultWindowSeconds);
-  // Same name -> same counter.
-  EXPECT_EQ(telemetry::GetWindowedCounter("test.windowed_counter"), counter);
-  telemetry::MetricsRegistry::Global().Reset();
-  EXPECT_EQ(counter->Value(), 0);
-  EXPECT_EQ(counter->WindowValue(), 0);
-}
 
 TEST_F(TelemetryTest, WindowedHistogramWindowMatchesLifetimeWhenRecent) {
   // A burst entirely inside the window retains identical sample sets in
@@ -405,51 +440,28 @@ TEST_F(TelemetryTest, WindowedHistogramWindowMatchesLifetimeWhenRecent) {
   }
 }
 
-TEST_F(TelemetryTest, WindowedMergeExactUnderConcurrentWriters) {
-  // Four pool threads hammer one windowed counter and histogram; the
-  // lifetime totals must be event-exact and — since the whole burst fits
-  // inside the window and no ring slot can recycle in milliseconds — the
-  // window totals must match them. Run under TSan via scripts/run_tsan.sh.
-  telemetry::WindowedCounter* counter =
-      telemetry::GetWindowedCounter("test.mt_windowed_counter");
-  telemetry::WindowedHistogram* histogram =
-      telemetry::GetWindowedHistogram("test.mt_windowed_hist");
-  constexpr int64_t kItems = 20000;
-  ThreadPool pool(4);
-  pool.ParallelFor(kItems, [&](int64_t i, int) {
-    counter->Add(1);
-    histogram->Observe(static_cast<double>(i % 100));
-  });
-  EXPECT_EQ(counter->Value(), kItems);
-  EXPECT_EQ(counter->WindowValue(), kItems);
-  const HistogramSnapshot lifetime = histogram->Snapshot();
-  const HistogramSnapshot window = histogram->WindowSnapshot();
-  EXPECT_EQ(lifetime.count, kItems);
-  EXPECT_EQ(window.count, kItems);
-  EXPECT_EQ(lifetime.min, 0.0);
-  EXPECT_EQ(lifetime.max, 99.0);
-  EXPECT_EQ(window.min, 0.0);
-  EXPECT_EQ(window.max, 99.0);
-}
-
 TEST_F(TelemetryTest, SnapshotAndReportCarryWindowedMetrics) {
-  telemetry::GetWindowedCounter("test.report_windowed")->Add(4);
-  telemetry::GetWindowedHistogram("test.report_whist")->Observe(1.5);
+  GetCounter("test.report_windowed")->Add(4);
+  GetWindowedHistogram("test.report_whist")->Observe(1.5);
+  // Series the trainer and the interpolator register: every counter and
+  // every histogram carries a trailing window.
+  GetCounter("train.steps")->Add(2);
+  GetWindowedHistogram("serve.predict_us")->Observe(250.0);
   const telemetry::MetricsSnapshot snap =
       telemetry::MetricsRegistry::Global().Snapshot();
   bool counter_found = false, histogram_found = false;
-  for (const auto& wc : snap.windowed_counters) {
-    if (wc.name == "test.report_windowed") {
+  for (const auto& c : snap.counters) {
+    if (c.name == "test.report_windowed") {
       counter_found = true;
-      EXPECT_EQ(wc.lifetime, 4);
-      EXPECT_EQ(wc.window, 4);
+      EXPECT_EQ(c.lifetime, 4);
+      EXPECT_EQ(c.window, 4);
     }
   }
-  for (const auto& wh : snap.windowed_histograms) {
-    if (wh.lifetime.name == "test.report_whist") {
+  for (const auto& h : snap.histograms) {
+    if (h.lifetime.name == "test.report_whist") {
       histogram_found = true;
-      EXPECT_EQ(wh.lifetime.count, 1);
-      EXPECT_EQ(wh.window.count, 1);
+      EXPECT_EQ(h.lifetime.count, 1);
+      EXPECT_EQ(h.window.count, 1);
     }
   }
   EXPECT_TRUE(counter_found);
@@ -458,11 +470,27 @@ TEST_F(TelemetryTest, SnapshotAndReportCarryWindowedMetrics) {
   const std::string report = telemetry::ReportJson("serve");
   JsonChecker checker(report);
   EXPECT_TRUE(checker.Valid()) << report;
-  // Lifetimes fold into the regular metric objects; the trailing-window
-  // views live under "windows".
+  // Lifetimes live in the regular metric objects; the trailing-window
+  // views live under "windows", keyed by the same names.
   EXPECT_NE(report.find("\"test.report_windowed\":4"), std::string::npos);
-  EXPECT_NE(report.find("\"windows\""), std::string::npos);
-  EXPECT_NE(report.find("\"window_seconds\":60"), std::string::npos);
+  EXPECT_NE(report.find("\"train.steps\":2"), std::string::npos);
+  const size_t windows = report.find("\"windows\":{");
+  ASSERT_NE(windows, std::string::npos) << report;
+  EXPECT_NE(report.find("\"test.report_windowed\":{\"window_seconds\":60,"
+                        "\"value\":4}",
+                        windows),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\"train.steps\":{\"window_seconds\":60,"
+                        "\"value\":2}",
+                        windows),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\"serve.predict_us\":{\"window_seconds\":60,"
+                        "\"histogram\":{\"count\":1,",
+                        windows),
+            std::string::npos)
+      << report;
 }
 
 // ---------------------------------------------------------------------------
@@ -536,7 +564,7 @@ TEST_F(TelemetryTest, ReportIsWellFormedVersionedChromeTrace) {
   if (telemetry::CompiledIn()) telemetry::SetEnabled(true);
   GetCounter("test.report_counter")->Add(7);
   GetGauge("test.report_gauge")->Set(1.5);
-  GetHistogram("test.report_histogram")->Observe(3.25);
+  GetWindowedHistogram("test.report_histogram")->Observe(3.25);
   {
     SSIN_TRACE_SPAN("report_outer");
     {
@@ -757,30 +785,42 @@ std::string CheckPrometheusText(const std::string& text) {
 TEST_F(TelemetryTest, PrometheusTextParsesAndCoversEveryMetricFamily) {
   GetCounter("test.prom_counter")->Add(3);
   GetGauge("test.prom/gauge")->Set(-2.5);  // '/' must sanitize to '_'.
-  telemetry::HistogramOptions options;
-  options.bucket_bounds = {1.0, 10.0};
-  GetHistogram("test.prom_hist", options)->Observe(5.0);
-  telemetry::GetWindowedCounter("test.prom_windowed")->Add(9);
-  telemetry::GetWindowedHistogram("test.prom_whist")->Observe(2.0);
+  GetWindowedHistogram("test.prom_hist")->Observe(5.0);
+  GetCounter("train.steps")->Add(9);
+  GetWindowedHistogram("serve.predict_us")->Observe(2.0);
 
   const std::string text = telemetry::PrometheusText();
   EXPECT_EQ(CheckPrometheusText(text), "") << text;
   EXPECT_NE(text.find("ssin_test_prom_counter 3"), std::string::npos);
   EXPECT_NE(text.find("ssin_test_prom_gauge "), std::string::npos);
-  EXPECT_NE(text.find("ssin_test_prom_hist_bucket{le=\"10\"} 1"),
+  // Default 1-2-5 bounds: 5.0 lands in the inclusive le="5" bucket and
+  // stays counted in every wider cumulative one.
+  EXPECT_EQ(text.find("ssin_test_prom_hist_bucket{le=\"2\"}"),
+            std::string::npos);  // Empty finite buckets are elided.
+  EXPECT_NE(text.find("ssin_test_prom_hist_bucket{le=\"5\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("ssin_test_prom_hist_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("ssin_test_prom_hist_count 1"), std::string::npos);
-  // The windowed counter exports its lifetime as the counter and the
-  // trailing window as a _last60s gauge; the windowed histogram adds
+  // Every counter exports its lifetime as the counter and its trailing
+  // window as a _last60s gauge; every histogram adds
   // _last60s_{count,sum,p50,p99} gauges next to the lifetime histogram.
-  EXPECT_NE(text.find("ssin_test_prom_windowed 9"), std::string::npos);
-  EXPECT_NE(text.find("ssin_test_prom_windowed_last60s 9"),
+  EXPECT_NE(text.find("# TYPE ssin_test_prom_counter_last60s gauge\n"
+                      "ssin_test_prom_counter_last60s 3\n"),
             std::string::npos);
-  EXPECT_NE(text.find("ssin_test_prom_whist_last60s_count 1"),
+  EXPECT_NE(text.find("ssin_test_prom_hist_last60s_count 1"),
             std::string::npos);
-  EXPECT_NE(text.find("ssin_test_prom_whist_last60s_p99 "),
+  EXPECT_NE(text.find("ssin_test_prom_hist_last60s_p99 5"),
+            std::string::npos);
+  EXPECT_NE(
+      text.find("# TYPE ssin_train_steps counter\nssin_train_steps 9\n"),
+      std::string::npos);
+  EXPECT_NE(text.find("ssin_train_steps_last60s 9"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE ssin_serve_predict_us histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("ssin_serve_predict_us_last60s_count 1"),
+            std::string::npos);
+  EXPECT_NE(text.find("ssin_serve_predict_us_last60s_p50 2"),
             std::string::npos);
 }
 
